@@ -61,10 +61,10 @@ class Code:
         # recorded here so tooling can see them; the opcode itself is
         # rewritten to NOP.
         self.blacklisted_headers: set = set()
-        # Lazily built table-threaded handler table (None = not built
-        # yet, False = unbuildable; see repro.interp.dispatch).  Header
-        # entries read the live insn, so blacklist patching needs no
-        # invalidation.
+        # Lazily built handler tables, unfused (recording) and fused
+        # (see repro.interp.dispatch).  Header entries read the live
+        # insn, so blacklist patching needs no invalidation.
+        self.handler_table = None
         self.threaded_table = None
 
     # -- pools --------------------------------------------------------------

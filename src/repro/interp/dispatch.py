@@ -1,11 +1,11 @@
-"""Table-threaded interpreter dispatch.
+"""The interpreter's opcode semantics: per-code handler tables.
 
-The classic interpreter loop (:meth:`Interpreter._run_frame_classic`)
-walks a ~50-arm ``if/elif`` chain per bytecode — SpiderMonkey's
-switch-threaded shape.  This module precomputes, per :class:`Code`, a
-**handler table**: one closure per pc, with the opcode decoded and the
-operand (const box, local slot, property name, jump target) pre-resolved
-at build time.  The driving loop then becomes::
+This module is the only implementation of bytecode behaviour in the
+interpreter.  It precomputes, per :class:`Code`, a **handler table**:
+one closure per pc, with the opcode decoded and the operand (const box,
+local slot, property name, jump target) pre-resolved at build time.
+Two drivers in :class:`repro.interp.interpreter.Interpreter` run it.
+The non-recording driver is::
 
     pc = frame.pc
     frame.pc = pc + 1
@@ -13,44 +13,50 @@ at build time.  The driving loop then becomes::
     charge(dispatch_cost)
     result = table[pc](interp, frame, stack, charge, pc)
 
-On top of the plain table, adjacent hot opcode pairs are **fused** into
-superinstructions: a fused entry executes both bytecodes in one table
-hit, skipping a whole loop iteration.  The pair set
-(:data:`FUSED_PAIRS`) comes from static pair-frequency analysis over
-the benchmark-suite bytecode (``python -m repro.interp.dispatch``
-regenerates the table); fusion heads are restricted to
-:data:`SAFE_FIRST` ops — ops that cannot raise, cannot jump, and never
-touch ``frame.pc`` — so the fused entry's bookkeeping is trivially
-correct.  Jumps *into* the middle of a fused pair need no special
-handling: the table keeps an ordinary entry at every pc, so a branch
-target simply uses the unfused entry.
+The recording driver is the same loop over the *unfused* table, with
+``recorder.record_op`` called before the handler and
+``recorder.record_result(stack[-1])`` after it when the recorder asks
+for the value the bytecode produced.
 
-Invariants (enforced by the backend-differential knob matrix):
+For the non-recording driver, adjacent hot opcode pairs are **fused**
+into superinstructions (:func:`fuse_table`): a fused entry executes
+both bytecodes in one table hit, skipping a whole loop iteration.  The
+pair set (:data:`FUSED_PAIRS`) comes from static pair-frequency
+analysis over the benchmark-suite bytecode (``python -m
+repro.interp.dispatch`` regenerates the table); fusion heads are
+restricted to :data:`SAFE_FIRST` ops — ops that cannot raise, cannot
+jump, and never touch ``frame.pc`` — so the fused entry's bookkeeping
+is trivially correct.  Jumps *into* the middle of a fused pair need no
+special handling: the table keeps an ordinary entry at every pc, so a
+branch target simply uses the unfused entry.
 
-* **Charge parity.**  Every handler charges exactly the simulated
-  cycles the classic arm charges, at the same points relative to any
-  raise (so ledger totals agree even on exception paths).  The loop
-  charges ``dispatch_cost`` separately per original bytecode — fused
-  entries charge it again for their second op — so handler tables are
-  dispatch-cost-agnostic and safe to cache on the shared ``Code``.
-* **Recording never runs threaded.**  The table is only driven while
-  ``vm.recorder is None``; the loop-header handler bails back to the
-  classic loop the moment the monitor starts a recorder.
+Invariants:
+
+* **Dispatch-cost agnostic.**  The driver charges ``dispatch_cost``
+  per bytecode — fused entries charge it again for their second op —
+  so fused and unfused tables charge identical cycles, and tables are
+  safe to cache on the shared ``Code`` across engines.
+* **Recording runs the unfused table.**  A superinstruction would hide
+  its second bytecode from the recorder, so the fused table is driven
+  only while ``vm.recorder is None``; the loop-header handler hands
+  control back the moment the monitor starts a recorder.
 * **Blacklist patching stays live.**  ``LOOPHEADER`` is patched to
   ``NOP`` in place by blacklisting (and patched *back* by the trace
   store's load rollback).  Header entries capture the mutable insn and
   re-read the opcode on every execution, so a stale table can neither
   consult the monitor for a blacklisted header nor skip a restored one.
 
-The method-JIT baseline (:mod:`repro.baselines.method_jit`) is already
-call-threaded — it compiles each method to per-pc closures once — so it
-keeps its own loop and does not use this table.
+``ThreadedVM`` (the SquirrelFish-like baseline) shares these tables
+with a cheaper ``dispatch_cost``.  The method-JIT baseline
+(:mod:`repro.baselines.method_jit`) compiles each method to its own
+per-pc closures with different cost formulas, so it keeps its own loop
+and does not use this table.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from repro import costs
 from repro.bytecode import opcodes as op
@@ -416,9 +422,9 @@ def _f_loopheader(code, arg, pc):
                 or interp.frames[-1] is not frame
                 or frame.pc != pc + 1
             ):
-                # A recording started, a trace ran, or frames changed:
-                # hand control back so the outer loop can re-enter the
-                # classic (recording-capable) dispatch.
+                # A recording is active, a trace ran, or frames
+                # changed: hand control back so the outer loop
+                # refreshes its state and picks the right driver.
                 return SWITCH_FRAME
         return None
 
@@ -496,9 +502,7 @@ def _f_call(code, arg, pc):
         args = stack[len(stack) - arg :]
         del stack[len(stack) - arg :]
         callee_box = stack.pop()
-        if interp._do_call(
-            interp.frames, frame, callee_box, UNDEFINED, args, False, None
-        ):
+        if interp._do_call(interp.frames, frame, callee_box, UNDEFINED, args):
             return SWITCH_FRAME
 
     return handler
@@ -510,9 +514,7 @@ def _f_callmethod(code, arg, pc):
         del stack[len(stack) - arg :]
         callee_box = stack.pop()
         this_box = stack.pop()
-        if interp._do_call(
-            interp.frames, frame, callee_box, this_box, args, False, None
-        ):
+        if interp._do_call(interp.frames, frame, callee_box, this_box, args):
             return SWITCH_FRAME
 
     return handler
@@ -523,7 +525,7 @@ def _f_new(code, arg, pc):
         args = stack[len(stack) - arg :]
         del stack[len(stack) - arg :]
         callee_box = stack.pop()
-        if interp._do_new(interp.frames, frame, callee_box, args, False, None):
+        if interp._do_new(interp.frames, frame, callee_box, args):
             return SWITCH_FRAME
 
     return handler
@@ -680,23 +682,24 @@ def _fuse(first, second):
 # -- table construction ------------------------------------------------------------
 
 
-def build_table(code) -> Optional[list]:
-    """The threaded handler table for ``code`` (None if some opcode has
-    no handler — the interpreter then falls back to the classic loop)."""
-    insns = code.insns
+def build_table(code) -> list:
+    """The unfused handler table for ``code``: one handler per pc."""
     blacklisted = code.blacklisted_headers
     table: List[object] = []
-    for pc, insn in enumerate(insns):
-        opcode, arg = insn
-        if pc in blacklisted:
-            # A blacklisted header reads NOP today but may be patched
-            # back by the store's load rollback; keep it live.
-            factory = _f_loopheader
-        else:
-            factory = _FACTORIES.get(opcode)
-            if factory is None:
-                return None
+    for pc, (opcode, arg) in enumerate(code.insns):
+        # A blacklisted header reads NOP today but may be patched back
+        # by the store's load rollback; keep it live.
+        factory = _f_loopheader if pc in blacklisted else _FACTORIES[opcode]
         table.append(factory(code, arg, pc))
+    return table
+
+
+def fuse_table(code, table: list) -> list:
+    """A copy of ``table`` with :data:`FUSED_PAIRS` fused into
+    superinstructions (the non-recording driver's table)."""
+    insns = code.insns
+    blacklisted = code.blacklisted_headers
+    table = list(table)
     # Fuse hot pairs, highest pc first so a fused entry can delegate to
     # an already-fused successor (chained superinstructions).
     for pc in range(len(insns) - 2, -1, -1):

@@ -1,19 +1,21 @@
 """The boxed-value bytecode interpreter.
 
-One big dispatch loop, SpiderMonkey-style.  Every opcode charges
-simulated cycles (see :mod:`repro.costs`) for dispatch, tag tests,
-un/boxing, and the semantic work — these charges are exactly what the
-tracing JIT later eliminates, so the cost model *is* the experiment.
+Every opcode charges simulated cycles (see :mod:`repro.costs`) for
+dispatch, tag tests, un/boxing, and the semantic work — these charges
+are exactly what the tracing JIT later eliminates, so the cost model
+*is* the experiment.
 
-Two dispatch strategies share the loop's contract (identical simulated
-cycles, stats, and events per bytecode):
+Opcode behaviour lives in one place, the per-code handler table of
+:mod:`repro.interp.dispatch`.  Two short drivers run it:
 
-* the **classic** ``if/elif`` chain (:meth:`Interpreter._run_frame_classic`),
-  always used while a recorder is attached;
-* **table-threaded** dispatch (:mod:`repro.interp.dispatch`, the
-  default while *not* recording): a per-code handler table with fused
-  superinstructions for hot opcode pairs, disabled by
-  ``config.enable_threaded_dispatch = False``.
+* the **threaded** driver (:meth:`Interpreter._run_frame_threaded`),
+  used while not recording, runs the table with hot opcode pairs fused
+  into superinstructions;
+* the **recording** driver (:meth:`Interpreter._run_frame_recording`)
+  runs the unfused table and calls the recorder's hook before every
+  bytecode, as the paper's recorder hooks the interpreter (Section 3).
+
+Both charge identical simulated cycles, stats, and events per bytecode.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ from repro.bytecode import opcodes as op
 from repro.bytecode.compiler import Code
 from repro.costs import Activity
 from repro.errors import GuestFault, JSThrow, TraceAbort, VMInternalError
-from repro.exec.limits import string_cells
 from repro.interp import dispatch
 from repro.interp.frames import Frame
-from repro.runtime import conversions, operations
+from repro.runtime import conversions
 from repro.runtime.builtins import STRING_METHODS
 from repro.runtime.objects import (
     JSArray,
@@ -39,23 +40,15 @@ from repro.runtime.objects import (
 )
 from repro.runtime.values import (
     Box,
-    FALSE,
-    NULL,
     TAG_DOUBLE,
     TAG_INT,
     TAG_OBJECT,
     TAG_STRING,
-    TRUE,
     UNDEFINED,
-    make_bool,
     make_number,
     make_object,
     make_string,
 )
-
-#: Boxes for ZERO/ONE fast opcodes.
-_ZERO_BOX = make_number(0)
-_ONE_BOX = make_number(1)
 
 
 class Interpreter:
@@ -150,9 +143,6 @@ class Interpreter:
 
         while len(frames) > base_depth:
             frame = frames[-1]
-            code = frame.code
-            insns = code.insns
-            stack = frame.stack
             try:
                 result = self._run_frame(frame, frames, base_depth)
             except JSThrow as thrown:
@@ -169,39 +159,30 @@ class Interpreter:
         """Execute until the current frame changes or execution completes.
 
         Returns ``_SWITCH_FRAME`` when the top frame changed (call /
-        return / unwinding), or the final completion/return Box.
+        return / unwinding, or a recorder attached or detached), or the
+        final completion/return Box.
 
-        Dispatch strategy: the table-threaded loop while not recording
-        (and the knob is on), the classic ``if/elif`` chain otherwise.
-        Both charge identical simulated cycles per bytecode, so which
-        one runs is invisible to results, stats, and events.
+        Both drivers run the same handlers (:mod:`repro.interp.dispatch`)
+        and charge identical simulated cycles per bytecode, so which one
+        runs is invisible to results, stats, and events.
         """
-        vm = self.vm
-        if vm.recorder is None and vm.config.enable_threaded_dispatch:
+        if self.vm.recorder is None:
             return self._run_frame_threaded(frame, frames, base_depth)
-        return self._run_frame_classic(frame, frames, base_depth)
+        return self._run_frame_recording(frame, frames, base_depth)
 
     def _run_frame_threaded(self, frame: Frame, frames: List[Frame], base_depth: int):
-        """Table-threaded twin of :meth:`_run_frame_classic`: one
-        pre-resolved handler per pc (see :mod:`repro.interp.dispatch`)
-        instead of the opcode chain.  Never runs while recording — the
-        loop-header handler returns ``_SWITCH_FRAME`` the moment a
-        recorder starts, and this method re-routes to the classic loop
-        on re-entry."""
+        """The non-recording driver: the fused handler table, one entry
+        per pc.  Never runs while recording — the loop-header handler
+        returns ``_SWITCH_FRAME`` the moment a recorder starts, and
+        :meth:`_run_frame` then picks the recording driver."""
         code = frame.code
         table = code.threaded_table
         if table is None:
-            table = dispatch.build_table(code)
-            code.threaded_table = table if table is not None else False
-        if table is False:
-            # Some opcode had no handler; this code stays classic.
-            return self._run_frame_classic(frame, frames, base_depth)
-        vm = self.vm
-        profile = vm.stats.profile
+            table = _build_tables(code)[1]
+        profile = self.vm.stats.profile
         stack = frame.stack
         charge = self._charge
         dispatch_cost = self.dispatch_cost
-        FRAME_TEARDOWN = costs.FRAME_TEARDOWN
 
         while True:
             pc = frame.pc
@@ -209,426 +190,80 @@ class Interpreter:
             profile.interpreted += 1
             charge(dispatch_cost)
             result = table[pc](self, frame, stack, charge, pc)
-            if result is None:
-                continue
-            if result is _SWITCH_FRAME:
-                return _SWITCH_FRAME
-            if result is _DO_RETURN:
-                value = self._ret
-                self._ret = None
-                frames.pop()
-                charge(FRAME_TEARDOWN)
-                if len(frames) == base_depth:
-                    return value
-                caller = frames[-1]
-                if caller.code.insns[caller.pc - 1][0] == op.NEW:
-                    # `new F()`: a non-object return is replaced by `this`.
-                    if value.tag != TAG_OBJECT:
-                        value = frame.this_box
-                caller.stack.append(value)
-                return _SWITCH_FRAME
-            # END: the handler popped the frame; result is the
-            # completion Box.
-            return result
+            if result is not None:
+                return self._leave(result, frame, frames, base_depth)
 
-    def _run_frame_classic(self, frame: Frame, frames: List[Frame], base_depth: int):
-        """The classic ``if/elif`` dispatch chain (always used while a
-        recorder is attached; also the ``--no-threaded-dispatch``
-        baseline)."""
+    def _run_frame_recording(self, frame: Frame, frames: List[Frame], base_depth: int):
+        """The recording driver: the *unfused* handler table, with the
+        recorder's hook called before every bytecode (Section 3: the
+        recorder observes each bytecode the interpreter executes).
+        Superinstructions would hide their second bytecode from the
+        recorder, so they are never used here."""
         vm = self.vm
-        stats = vm.stats
-        profile = stats.profile
         code = frame.code
         insns = code.insns
-        consts = code.consts
-        names = code.names
+        table = code.handler_table
+        if table is None:
+            table = _build_tables(code)[0]
+        profile = vm.stats.profile
+        ledger = vm.stats.ledger
         stack = frame.stack
-        local_vars = frame.locals
-        dispatch_cost = self.dispatch_cost
-        # Hoisted per-iteration lookups (the dispatch loop touches
-        # these on every bytecode): the charge helper and the cost
-        # constants otherwise re-fetched as module attributes.
         charge = self._charge
-        ALLOC = costs.ALLOC
-        BOX = costs.BOX
-        D2I32 = costs.D2I32
-        FRAME_TEARDOWN = costs.FRAME_TEARDOWN
-        GLOBAL_LOOKUP = costs.GLOBAL_LOOKUP
-        PROPERTY_LOOKUP = costs.PROPERTY_LOOKUP
+        dispatch_cost = self.dispatch_cost
         RECORD_PER_BYTECODE = costs.RECORD_PER_BYTECODE
-        SHAPE_TRANSITION = costs.SHAPE_TRANSITION
-        SLOT_ACCESS = costs.SLOT_ACCESS
-        STACK_OP = costs.STACK_OP
-        TAG_TEST = costs.TAG_TEST
 
         while True:
+            recorder = vm.recorder
+            if recorder is None:
+                # Recording finished or aborted: back to the fused table.
+                return _SWITCH_FRAME
             pc = frame.pc
             opcode, arg = insns[pc]
             frame.pc = pc + 1
-
-            recorder = vm.recorder
-            if recorder is not None:
-                profile.recorded += 1
-                stats.ledger.charge(Activity.RECORD, RECORD_PER_BYTECODE)
-                try:
-                    wants_result = recorder.record_op(self, frame, pc, opcode, arg)
-                except TraceAbort as abort:
-                    vm.monitor.abort_recording(abort.reason)
-                    wants_result = False
-                    recorder = None
-                except (JSThrow, GuestFault):
-                    raise
-                except Exception as error:
-                    # The record firewall boundary: recording is passive
-                    # (the bytecode has not executed yet), so containing
-                    # the failure and dropping the recorder resumes
-                    # interpretation with no state repair needed.
-                    if not vm.monitor.contain_internal_failure("record", error):
-                        raise
-                    wants_result = False
-                    recorder = None
-            else:
-                profile.interpreted += 1
+            profile.recorded += 1
+            ledger.charge(Activity.RECORD, RECORD_PER_BYTECODE)
+            try:
+                wants_result = recorder.record_op(self, frame, pc, opcode, arg)
+            except TraceAbort as abort:
+                vm.monitor.abort_recording(abort.reason)
                 wants_result = False
-
+            except (JSThrow, GuestFault):
+                raise
+            except Exception as error:
+                # The record firewall boundary: recording is passive
+                # (the bytecode has not executed yet), so containing
+                # the failure and dropping the recorder resumes
+                # interpretation with no state repair needed.
+                if not vm.monitor.contain_internal_failure("record", error):
+                    raise
+                wants_result = False
             charge(dispatch_cost)
+            result = table[pc](self, frame, stack, charge, pc)
+            if result is not None:
+                return self._leave(result, frame, frames, base_depth)
+            if wants_result:
+                recorder.record_result(stack[-1])
 
-            # ---- constants and stack shuffling ----------------------------
-            if opcode == op.CONST:
-                stack.append(consts[arg])
-                charge(STACK_OP)
-            elif opcode == op.GETLOCAL:
-                stack.append(local_vars[arg])
-                charge(SLOT_ACCESS + STACK_OP)
-            elif opcode == op.SETLOCAL:
-                local_vars[arg] = stack[-1]
-                charge(SLOT_ACCESS)
-            elif opcode == op.ZERO:
-                stack.append(_ZERO_BOX)
-                charge(STACK_OP)
-            elif opcode == op.ONE:
-                stack.append(_ONE_BOX)
-                charge(STACK_OP)
-            elif opcode == op.UNDEF:
-                stack.append(UNDEFINED)
-                charge(STACK_OP)
-            elif opcode == op.NULL:
-                stack.append(NULL)
-                charge(STACK_OP)
-            elif opcode == op.TRUE:
-                stack.append(TRUE)
-                charge(STACK_OP)
-            elif opcode == op.FALSE:
-                stack.append(FALSE)
-                charge(STACK_OP)
-            elif opcode == op.POP:
-                stack.pop()
-                charge(STACK_OP)
-            elif opcode == op.POPV:
-                frame.completion = stack.pop()
-                charge(STACK_OP)
-            elif opcode == op.DUP:
-                stack.append(stack[-1])
-                charge(STACK_OP)
-            elif opcode == op.SWAP:
-                stack[-1], stack[-2] = stack[-2], stack[-1]
-                charge(STACK_OP)
-
-            # ---- globals ---------------------------------------------------
-            elif opcode == op.GETGLOBAL:
-                name = names[arg]
-                charge(GLOBAL_LOOKUP + STACK_OP)
-                try:
-                    stack.append(vm.globals[name])
-                except KeyError:
-                    raise JSThrow(
-                        make_string(f"ReferenceError: {name} is not defined")
-                    ) from None
-            elif opcode == op.SETGLOBAL:
-                vm.globals[names[arg]] = stack[-1]
-                charge(GLOBAL_LOOKUP)
-
-            # ---- arithmetic / logic ----------------------------------------
-            elif opcode == op.ADD:
-                right = stack.pop()
-                left = stack.pop()
-                value, cycles = operations.add(left, right)
-                stack.append(value)
-                charge(cycles + 3 * STACK_OP)
-                if value.tag == TAG_STRING and vm.meter is not None:
-                    vm.meter.note_cells(string_cells(len(value.payload)), vm)
-            elif opcode == op.SUB:
-                right = stack.pop()
-                left = stack.pop()
-                value, cycles = operations.sub(left, right)
-                stack.append(value)
-                charge(cycles + 3 * STACK_OP)
-            elif opcode == op.MUL:
-                right = stack.pop()
-                left = stack.pop()
-                value, cycles = operations.mul(left, right)
-                stack.append(value)
-                charge(cycles + 3 * STACK_OP)
-            elif opcode == op.DIV:
-                right = stack.pop()
-                left = stack.pop()
-                value, cycles = operations.div(left, right)
-                stack.append(value)
-                charge(cycles + 3 * STACK_OP)
-            elif opcode == op.MOD:
-                right = stack.pop()
-                left = stack.pop()
-                value, cycles = operations.mod(left, right)
-                stack.append(value)
-                charge(cycles + 3 * STACK_OP)
-            elif opcode == op.NEG:
-                value, cycles = operations.neg(stack.pop())
-                stack.append(value)
-                charge(cycles + 2 * STACK_OP)
-            elif opcode == op.TONUM:
-                operand = stack[-1]
-                if operand.tag not in (TAG_INT, TAG_DOUBLE):
-                    stack[-1] = make_number(conversions.to_number(operand))
-                    charge(TAG_TEST + D2I32 + BOX)
-                else:
-                    charge(TAG_TEST)
-            elif opcode == op.BITAND:
-                right = stack.pop()
-                left = stack.pop()
-                value, cycles = operations.bitand(left, right)
-                stack.append(value)
-                charge(cycles + 3 * STACK_OP)
-            elif opcode == op.BITOR:
-                right = stack.pop()
-                left = stack.pop()
-                value, cycles = operations.bitor(left, right)
-                stack.append(value)
-                charge(cycles + 3 * STACK_OP)
-            elif opcode == op.BITXOR:
-                right = stack.pop()
-                left = stack.pop()
-                value, cycles = operations.bitxor(left, right)
-                stack.append(value)
-                charge(cycles + 3 * STACK_OP)
-            elif opcode == op.BITNOT:
-                value, cycles = operations.bitnot(stack.pop())
-                stack.append(value)
-                charge(cycles + 2 * STACK_OP)
-            elif opcode == op.SHL:
-                right = stack.pop()
-                left = stack.pop()
-                value, cycles = operations.shl(left, right)
-                stack.append(value)
-                charge(cycles + 3 * STACK_OP)
-            elif opcode == op.SHR:
-                right = stack.pop()
-                left = stack.pop()
-                value, cycles = operations.shr(left, right)
-                stack.append(value)
-                charge(cycles + 3 * STACK_OP)
-            elif opcode == op.USHR:
-                right = stack.pop()
-                left = stack.pop()
-                value, cycles = operations.ushr(left, right)
-                stack.append(value)
-                charge(cycles + 3 * STACK_OP)
-            elif opcode in (op.LT, op.LE, op.GT, op.GE):
-                right = stack.pop()
-                left = stack.pop()
-                relop = _RELOP_TEXT[opcode]
-                value, cycles = operations.compare(left, right, relop)
-                stack.append(value)
-                charge(cycles + 3 * STACK_OP)
-            elif opcode in (op.EQ, op.NE, op.STRICTEQ, op.STRICTNE):
-                right = stack.pop()
-                left = stack.pop()
-                strict = opcode in (op.STRICTEQ, op.STRICTNE)
-                negate = opcode in (op.NE, op.STRICTNE)
-                value, cycles = operations.equals(left, right, strict, negate)
-                stack.append(value)
-                charge(cycles + 3 * STACK_OP)
-            elif opcode == op.NOT:
-                value, cycles = operations.logical_not(stack.pop())
-                stack.append(value)
-                charge(cycles + 2 * STACK_OP)
-            elif opcode == op.TYPEOF:
-                value, cycles = operations.typeof_op(stack.pop())
-                stack.append(value)
-                charge(cycles + 2 * STACK_OP)
-
-            # ---- control flow -----------------------------------------------
-            elif opcode == op.JUMP:
-                if arg <= pc:
-                    self._check_preemption()
-                frame.pc = arg
-            elif opcode == op.IFFALSE:
-                condition = stack.pop()
-                charge(STACK_OP + TAG_TEST)
-                if not conversions.to_boolean(condition):
-                    if arg <= pc:
-                        self._check_preemption()
-                    frame.pc = arg
-            elif opcode == op.IFTRUE:
-                condition = stack.pop()
-                charge(STACK_OP + TAG_TEST)
-                if conversions.to_boolean(condition):
-                    if arg <= pc:
-                        self._check_preemption()
-                    frame.pc = arg
-            elif opcode == op.ANDJMP:
-                charge(STACK_OP + TAG_TEST)
-                if not conversions.to_boolean(stack[-1]):
-                    frame.pc = arg
-                else:
-                    stack.pop()
-            elif opcode == op.ORJMP:
-                charge(STACK_OP + TAG_TEST)
-                if conversions.to_boolean(stack[-1]):
-                    frame.pc = arg
-                else:
-                    stack.pop()
-            elif opcode == op.LOOPHEADER:
-                if vm.monitor is not None:
-                    vm.monitor.on_loop_header(self, frame, pc)
-                    if frames[-1] is not frame or frame.pc != pc + 1:
-                        # A trace ran (or frames changed); re-enter the
-                        # outer loop to refresh cached frame state.
-                        return _SWITCH_FRAME
-            elif opcode == op.NOP:
-                pass
-
-            # ---- property access (fat opcodes) --------------------------------
-            elif opcode == op.GETPROP:
-                obj_box = stack.pop()
-                stack.append(self._getprop(obj_box, names[arg]))
-                if wants_result:
-                    recorder.record_result(stack[-1])
-            elif opcode == op.SETPROP:
-                value = stack.pop()
-                obj_box = stack.pop()
-                self._setprop(obj_box, names[arg], value)
-                stack.append(value)
-            elif opcode == op.GETELEM:
-                index_box = stack.pop()
-                obj_box = stack.pop()
-                stack.append(self._getelem(obj_box, index_box))
-                if wants_result:
-                    recorder.record_result(stack[-1])
-            elif opcode == op.SETELEM:
-                value = stack.pop()
-                index_box = stack.pop()
-                obj_box = stack.pop()
-                self._setelem(obj_box, index_box, value)
-                stack.append(value)
-            elif opcode == op.ITERKEYS:
-                from repro.runtime.objects import enumerable_keys
-
-                obj_box = stack.pop()
-                keys = enumerable_keys(obj_box, vm.array_prototype)
-                stack.append(make_object(keys))
-                charge(
-                    ALLOC
-                    + PROPERTY_LOOKUP
-                    + SLOT_ACCESS * max(keys.length, 1)
-                    + 2 * STACK_OP
-                )
-                if vm.meter is not None:
-                    vm.meter.note_cells(1 + keys.length, vm)
-            elif opcode == op.DELPROP:
-                obj_box = stack.pop()
-                if obj_box.tag != TAG_OBJECT:
-                    raise JSThrow(make_string("TypeError: delete on non-object"))
-                charge(PROPERTY_LOOKUP + SHAPE_TRANSITION)
-                stack.append(make_bool(obj_box.payload.delete_property(names[arg])))
-            elif opcode == op.INITPROP:
-                value = stack.pop()
-                obj_box = stack[-1]
-                obj_box.payload.set_property(names[arg], value)
-                charge(SHAPE_TRANSITION + SLOT_ACCESS)
-
-            # ---- allocation -----------------------------------------------------
-            elif opcode == op.NEWOBJ:
-                stack.append(make_object(JSObject()))
-                charge(ALLOC + STACK_OP)
-                if vm.meter is not None:
-                    vm.meter.note_cells(1, vm)
-                if wants_result:
-                    recorder.record_result(stack[-1])
-            elif opcode == op.NEWARR:
-                arr = JSArray(proto=vm.array_prototype)
-                if arg:
-                    elements = stack[len(stack) - arg :]
-                    del stack[len(stack) - arg :]
-                    for index, element in enumerate(elements):
-                        arr.set_element(index, element)
-                stack.append(make_object(arr))
-                charge(ALLOC + (arg + 1) * STACK_OP)
-                if vm.meter is not None:
-                    vm.meter.note_cells(1 + arg, vm)
-                if wants_result:
-                    recorder.record_result(stack[-1])
-
-            # ---- calls -----------------------------------------------------------
-            elif opcode == op.CALL:
-                args = stack[len(stack) - arg :]
-                del stack[len(stack) - arg :]
-                callee_box = stack.pop()
-                switched = self._do_call(
-                    frames, frame, callee_box, UNDEFINED, args, wants_result, recorder
-                )
-                if switched:
-                    return _SWITCH_FRAME
-            elif opcode == op.CALLMETHOD:
-                args = stack[len(stack) - arg :]
-                del stack[len(stack) - arg :]
-                callee_box = stack.pop()
-                this_box = stack.pop()
-                switched = self._do_call(
-                    frames, frame, callee_box, this_box, args, wants_result, recorder
-                )
-                if switched:
-                    return _SWITCH_FRAME
-            elif opcode == op.NEW:
-                args = stack[len(stack) - arg :]
-                del stack[len(stack) - arg :]
-                callee_box = stack.pop()
-                switched = self._do_new(
-                    frames, frame, callee_box, args, wants_result, recorder
-                )
-                if switched:
-                    return _SWITCH_FRAME
-            elif opcode == op.RETURN or opcode == op.RETUNDEF:
-                value = stack.pop() if opcode == op.RETURN else UNDEFINED
-                frames.pop()
-                charge(FRAME_TEARDOWN)
-                if len(frames) == base_depth:
-                    return value
-                caller = frames[-1]
-                if caller.code.insns[caller.pc - 1][0] == op.NEW:
-                    # `new F()`: a non-object return is replaced by `this`.
-                    if value.tag != TAG_OBJECT:
-                        value = frame.this_box
-                caller.stack.append(value)
-                return _SWITCH_FRAME
-
-            # ---- exceptions --------------------------------------------------------
-            elif opcode == op.THROW:
-                raise JSThrow(stack.pop())
-            elif opcode == op.TRYPUSH:
-                frame.try_stack.append((arg, len(stack)))
-                charge(STACK_OP)
-            elif opcode == op.TRYPOP:
-                frame.try_stack.pop()
-                charge(STACK_OP)
-
-            elif opcode == op.THIS:
-                stack.append(frame.this_box)
-                charge(STACK_OP)
-            elif opcode == op.END:
-                frames.pop()
-                return frame.completion
-            else:
-                raise VMInternalError(f"unhandled opcode {op.opcode_name(opcode)}")
+    def _leave(self, result, frame: Frame, frames: List[Frame], base_depth: int):
+        """Finish a handler that did not return None: ``_SWITCH_FRAME``
+        passes through, ``_DO_RETURN`` pops ``frame`` and hands the
+        stashed value to the caller, and END's completion Box (END
+        already popped the frame) is the result."""
+        if result is _DO_RETURN:
+            value = self._ret
+            self._ret = None
+            frames.pop()
+            self._charge(costs.FRAME_TEARDOWN)
+            if len(frames) == base_depth:
+                return value
+            caller = frames[-1]
+            if caller.code.insns[caller.pc - 1][0] == op.NEW:
+                # `new F()`: a non-object return is replaced by `this`.
+                if value.tag != TAG_OBJECT:
+                    value = frame.this_box
+            caller.stack.append(value)
+            return _SWITCH_FRAME
+        return result
 
     # -- preemption (Section 6.4) ---------------------------------------------
 
@@ -766,8 +401,6 @@ class Interpreter:
         callee_box: Box,
         this_box: Box,
         args: List[Box],
-        wants_result: bool,
-        recorder,
     ) -> bool:
         """Returns True if a new interpreter frame was pushed."""
         if callee_box.tag != TAG_OBJECT or not callee_box.payload.is_callable:
@@ -779,8 +412,6 @@ class Interpreter:
             )
             result = callee.fn(self.vm, this_box, args)
             frame.stack.append(result)
-            if wants_result:
-                recorder.record_result(result)
             return False
         self._charge(costs.FRAME_SETUP)
         vm = self.vm
@@ -798,8 +429,6 @@ class Interpreter:
         frame: Frame,
         callee_box: Box,
         args: List[Box],
-        wants_result: bool,
-        recorder,
     ) -> bool:
         if callee_box.tag != TAG_OBJECT or not callee_box.payload.is_callable:
             raise JSThrow(make_string("TypeError: not a constructor"))
@@ -811,8 +440,6 @@ class Interpreter:
             if result.tag != TAG_OBJECT:
                 result = make_object(JSObject())
             frame.stack.append(result)
-            if wants_result:
-                recorder.record_result(result)
             return False
         this_obj = new_object_with_proto(callee)
         self._charge(costs.FRAME_SETUP + costs.SHAPE_TRANSITION)
@@ -825,11 +452,15 @@ class Interpreter:
         return True
 
 
-_RELOP_TEXT = {op.LT: "<", op.LE: "<=", op.GT: ">", op.GE: ">="}
+def _build_tables(code: Code):
+    """Build and cache ``code``'s unfused and fused handler tables."""
+    code.handler_table = dispatch.build_table(code)
+    code.threaded_table = dispatch.fuse_table(code, code.handler_table)
+    return code.handler_table, code.threaded_table
 
-#: Sentinel: the current frame changed; refresh cached state (shared
-#: with the threaded handler table).
+
+#: Sentinel: the current frame changed; refresh cached state.
 _SWITCH_FRAME = dispatch.SWITCH_FRAME
-#: Sentinel: a threaded RETURN/RETUNDEF handler stashed its value in
+#: Sentinel: a RETURN/RETUNDEF handler stashed its value in
 #: ``interp._ret``.
 _DO_RETURN = dispatch.DO_RETURN
