@@ -98,14 +98,17 @@ class MethodJITVM(PreemptionMixin):
 
     def __init__(self, config: Optional[VMConfig] = None):
         from repro.core.events import EventStream
+        from repro.obs.metrics import attach_vm_collector
 
         self.config = config or VMConfig()
         self.stats = VMStats()
+        self.metrics = self.stats.metrics
+        attach_vm_collector(self.metrics, self)
         #: Present so the CLI's --events and the supervisor's guest-
-        #: fault events work uniformly; the stats fold subscribes like
+        #: fault events work uniformly; the metrics fold subscribes like
         #: on the tracing VM (it only ever sees supervisor kinds here).
         self.events = EventStream(capture=self.config.capture_events)
-        self.events.subscribe(self.stats.tracing.apply_event)
+        self.events.subscribe(self.metrics.apply_event)
         self.globals: Dict[str, Box] = {}
         self.output: List[str] = []
         self._init_preemption()

@@ -193,16 +193,16 @@ def add_telemetry_arguments(parser) -> None:
         "--metrics-json",
         metavar="FILE",
         help=(
-            "enable the live metrics registry and write its JSON "
-            "snapshot (counters/gauges/histograms, schema v1) to FILE"
+            "write the metrics registry's JSON snapshot "
+            "(counters/gauges/histograms, schema v2) to FILE"
         ),
     )
     telemetry.add_argument(
         "--metrics-prom",
         metavar="FILE",
         help=(
-            "enable the live metrics registry and write the Prometheus "
-            "text exposition to FILE"
+            "write the metrics registry's Prometheus text exposition "
+            "to FILE"
         ),
     )
     telemetry.add_argument(
@@ -871,8 +871,6 @@ def main(argv: Optional[list] = None, out=None) -> int:
         vm.events.capture = True
     if args.profile or args.profile_json or args.timeline:
         vm.enable_profiling(timeline=args.timeline is not None)
-    if args.metrics_json or args.metrics_prom:
-        vm.enable_metrics()
     program_span = 0
     if args.trace_export:
         vm.enable_span_tracing()

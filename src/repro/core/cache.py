@@ -59,16 +59,15 @@ class TraceCache:
     handle exits) stays in the monitor.
     """
 
-    def __init__(self, config, events, faults=None):
+    def __init__(self, config, events, metrics, faults=None):
         self.config = config
         self.events = events
         #: Optional fault injector (repro.hardening) for the
         #: ``link.register`` and ``cache.flush`` sites.
         self.faults = faults
-        #: Optional :class:`repro.obs.metrics.MetricsRegistry`, for the
+        #: The VM's :class:`repro.obs.metrics.MetricsRegistry`, for the
         #: one retirement path with no event: per-header invalidation.
-        #: Set by :meth:`repro.vm.VM.enable_metrics`; None otherwise.
-        self.metrics = None
+        self.metrics = metrics
         #: Optional :class:`repro.core.store.TraceStore`; when set,
         #: invalidations and flushes supersede the persisted entries so
         #: a later warm start cannot resurrect retired fragments.
@@ -274,7 +273,7 @@ class TraceCache:
             self.code_size_used -= tree.code_size_total
             retired += tree.retire()
             self._check_callables_dropped(tree)
-        if self.metrics is not None and retired:
+        if retired:
             self.metrics.fragments_retired.inc(
                 retired, reason=f"invalidate:{reason}"
             )

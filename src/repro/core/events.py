@@ -6,14 +6,15 @@ blacklisting a header, flushing the code cache — is emitted as one
 :class:`TraceEvent` on the VM's :class:`EventStream`.  The stream is
 the single observability seam for the JIT:
 
-* :class:`repro.stats.TraceStats` subscribes and *folds* the stream
-  into its lifecycle counters (so the counters are derived data, not a
-  second bookkeeping path);
+* the VM's :class:`repro.obs.metrics.MetricsRegistry` subscribes and
+  *folds* the stream into its lifecycle counters (so the counters are
+  derived data, not a second bookkeeping path), which
+  :class:`repro.stats.TraceStats` reads back as views;
 * the CLI's ``--events`` / ``--dump-events`` flags retain the events
   and export them as JSONL for offline analysis;
 * tests and benchmarks subscribe ad hoc to assert on exact sequences.
 
-Events are dispatched to subscribers unconditionally (the stats fold
+Events are dispatched to subscribers unconditionally (the metrics fold
 depends on it) but only *retained* when ``capture`` is set, so hot
 workloads do not accumulate unbounded history by default.  Payloads are
 restricted to JSON-scalar values (str/int/float/bool/None) so every

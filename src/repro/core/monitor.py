@@ -74,7 +74,7 @@ class TraceMonitor:
         )
         #: Owns peer trees, hotness counters, code-size accounting, and
         #: the flush path; all fragment lookup/registration goes here.
-        self.cache = TraceCache(vm.config, vm.events, faults=vm.faults)
+        self.cache = TraceCache(vm.config, vm.events, vm.metrics, faults=vm.faults)
         #: Containment for internal JIT failures (repro.hardening); the
         #: circuit breaker flips ``disabled`` after repeated trips.
         self.firewall = JITFirewall(vm, self)
@@ -199,15 +199,11 @@ class TraceMonitor:
         if loop_info is None:
             raise VMInternalError(f"LOOPHEADER at pc {pc} has no LoopInfo")
         tree = self.find_matching_tree(interp, frame, pc)
-        metrics = vm.metrics
         if tree is not None:
-            if metrics is not None:
-                metrics.trace_lookups.inc(1, result="hit")
+            vm.metrics.trace_lookups.inc(1, result="hit")
             self.execute_tree(interp, frame, tree, len(interp.frames) - 1)
             return
-        if metrics is not None:
-            metrics.trace_lookups.inc(1, result="miss")
-        self.vm.stats.tracing.loops_seen += 1
+        vm.metrics.trace_lookups.inc(1, result="miss")
         count = self.cache.bump_hotness(code, pc)
         if count >= self.config.hotness_threshold:
             self.consider_recording(interp, frame, pc)
@@ -674,10 +670,6 @@ class TraceMonitor:
             pc=exit.pc,
             depth=exit.depth,
         )
-        if vm.metrics is not None:
-            # An exit tuple surfaced all the way to the monitor (the
-            # transition the direct-link fast path exists to avoid).
-            vm.metrics.exit_surfacings.inc(1, kind=exit.kind)
         if vm.profiler is not None:
             vm.profiler.record_side_exit(exit)
         exit.hit_count += 1

@@ -39,10 +39,10 @@ What the scheduler adds over one supervisor:
 Observability follows the repo idiom: fleet-level facts flow through
 one :class:`~repro.core.events.EventStream` (``job-shed``,
 ``work-stolen``, ``worker-online``, ``worker-respawn``, plus the
-supervisor's ``job-retried``), folded into a
-:class:`~repro.obs.metrics.MetricsRegistry` and a
-:class:`~repro.obs.spans.FleetSpanRecorder` exactly like the per-VM
-folds.  All stream emissions happen under the fleet lock; the span
+supervisor's ``job-retried``), folded into a fleet-level
+:class:`~repro.obs.metrics.MetricsRegistry` (when capturing metrics)
+and a :class:`~repro.obs.spans.FleetSpanRecorder` exactly like the
+per-VM folds.  All stream emissions happen under the fleet lock; the span
 recorder carries its own lock.  See docs/INTERNALS.md §15.
 """
 

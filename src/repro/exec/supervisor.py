@@ -101,8 +101,8 @@ class JobResult:
     #: heuristic's signal for cache pressure).
     cache_flushes: int = 0
     #: Counter series that changed while the final attempt ran
-    #: (``{series-name: delta}``), when the supervisor VM has metrics
-    #: attached; None otherwise.  This is the per-job telemetry the
+    #: (``{series-name: delta}``), when the supervisor captures metrics;
+    #: None otherwise.  This is the per-job telemetry the
     #: future sharded tier's admission control consumes.
     metrics: Optional[Dict[str, float]] = None
 
@@ -186,8 +186,8 @@ class Supervisor:
         #: fixed seed, decorrelated between colliding retriers.
         self._backoff_rng = random.Random(backoff_seed)
         self.vm = self._make_vm(engine, config, capture_events)
-        if capture_metrics:
-            self.vm.enable_metrics()
+        #: Attach each job's counter delta to its :class:`JobResult`.
+        self.capture_metrics = capture_metrics
         if capture_spans:
             self.vm.enable_span_tracing()
         #: tenant -> aggregated billing, filled as results complete.
@@ -239,15 +239,13 @@ class Supervisor:
         tenants' work.
         """
         vm = self.vm
-        metrics = getattr(vm, "metrics", None)
         spans = getattr(vm, "span_recorder", None)
         now = vm.stats.ledger.total
         queue: List[Tuple[Job, int, int]] = [(job, 1, now) for job in jobs]
         results: List[JobResult] = []
         while queue:
             job, attempt, enqueued_at = queue.pop(0)
-            if metrics is not None:
-                metrics.queue_depth.set(len(queue))
+            vm.metrics.queue_depth.set(len(queue))
             if spans is not None:
                 waited = spans.now()
                 wait_id = spans.open(
@@ -277,8 +275,7 @@ class Supervisor:
                 continue
             self._note_outcome(job, result)
             results.append(result)
-        if metrics is not None:
-            metrics.queue_depth.set(0)
+        vm.metrics.queue_depth.set(0)
         return results
 
     def run_source(
@@ -356,17 +353,14 @@ class Supervisor:
         if usage is None:
             usage = self.tenant_usage[job.tenant] = TenantUsage()
         usage.add(result)
-        metrics = getattr(self.vm, "metrics", None)
-        if metrics is not None:
-            metrics.jobs.inc(1, tenant=job.tenant, status=result.status)
-            metrics.billed_cycles.inc(result.usage.cycles, tenant=job.tenant)
-            metrics.billed_heap_cells.inc(
-                result.usage.heap_cells, tenant=job.tenant
-            )
-            metrics.billed_output_bytes.inc(
-                result.usage.output_bytes, tenant=job.tenant
-            )
-            metrics.degraded_tenants.set(len(self.degraded_tenants))
+        metrics = self.vm.metrics
+        metrics.jobs.inc(1, tenant=job.tenant, status=result.status)
+        metrics.billed_cycles.inc(result.usage.cycles, tenant=job.tenant)
+        metrics.billed_heap_cells.inc(result.usage.heap_cells, tenant=job.tenant)
+        metrics.billed_output_bytes.inc(
+            result.usage.output_bytes, tenant=job.tenant
+        )
+        metrics.degraded_tenants.set(len(self.degraded_tenants))
 
     def tenant_summary(self) -> Dict[str, TenantUsage]:
         """Per-tenant aggregated billing, sorted by tenant name."""
@@ -461,8 +455,8 @@ class Supervisor:
         vm.reset_guest_state()
         limits = job.limits if job.limits is not None else self.limits
         meter = vm.install_meter(limits)
-        metrics = getattr(vm, "metrics", None)
-        counters_before = metrics.flat_counters() if metrics is not None else None
+        metrics = vm.metrics
+        counters_before = metrics.flat_counters() if self.capture_metrics else None
         spans = getattr(vm, "span_recorder", None)
         job_span = 0
         if spans is not None:
@@ -520,12 +514,10 @@ class Supervisor:
             status = status_of_fault(meter.pending)
             fault_text = str(meter.pending)
             rendered = None
+        metrics.meter_polls.inc(meter.polls)
         metrics_delta = None
-        if metrics is not None:
-            metrics.meter_polls.inc(meter.polls)
-            metrics_delta = metrics.delta(
-                counters_before, metrics.flat_counters()
-            )
+        if self.capture_metrics:
+            metrics_delta = metrics.delta(counters_before, metrics.flat_counters())
         if spans is not None:
             spans.close(job_span, status=status)
         store = getattr(vm, "trace_store", None)

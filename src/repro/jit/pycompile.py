@@ -269,12 +269,10 @@ class _Emitter:
         # (every un-inlined exit inside the branch writes back the union
         # of registers before surfacing).
         native = self.const(Activity.NATIVE, "NATIVE")
-        self.emit("tracing.stitched_transfers += 1")
+        self.emit("tracing.transfers_direct += 1")
         self.emit(f"charge({native}, {costs.STITCH_PENALTY})")
         self.emit("if profiler is not None:")
         self.emit(f"    profiler.record_stitch({ex}, direct=True)")
-        self.emit("if metrics is not None:")
-        self.emit("    metrics.fragment_transfers.inc(1, mode='direct')")
         self.emit(f"executed += {self._executed_offset(index)}")
         self.emit("cycles = 0")
         self._emit_inline(branch)
@@ -899,7 +897,6 @@ class _TreeEmitter(_Emitter):
 
     def _hoist_extras(self, hoist) -> None:
         hoist("profiler = vm.profiler")
-        hoist("metrics = vm.metrics")
 
     def source(self) -> str:
         trunk = self.fragment
@@ -979,11 +976,20 @@ def _contain_pycompile_failure(vm, fragment, error: BaseException) -> None:
             injected=site is not None,
             site=site,
         )
+        vm.metrics.pycompile_failures.inc()
         if vm.profiler is not None:
             vm.profiler.note_firewall_trip("pycompile")
     finally:
         if faults is not None:
             faults.suspended -= 1
+
+
+def _note_build(vm, unit: str, source: str, elapsed: float) -> None:
+    """Count one successful build (``unit`` = ``fragment`` or ``tree``)."""
+    metrics = vm.metrics
+    metrics.pycompile_fragments.inc(1, unit=unit)
+    metrics.pycompile_source_bytes.inc(len(source), unit=unit)
+    metrics.pycompile_wall.observe(elapsed)
 
 
 def compile_fragment_py(vm, fragment):
@@ -1018,8 +1024,6 @@ def compile_fragment_py(vm, fragment):
             except AttributeError:
                 pass  # a stub without the latch still falls back correctly
             _contain_pycompile_failure(vm, fragment, error)
-            if vm.metrics is not None:
-                vm.metrics.pycompile_failures.inc()
             return None
         fragment.py_func = fn
         fragment.py_consts = consts
@@ -1031,10 +1035,7 @@ def compile_fragment_py(vm, fragment):
         tree = getattr(fragment, "tree", None)
         if tree is not None and hasattr(tree, "code"):
             profiler.note_pycompile(tree, elapsed)
-    metrics = vm.metrics
-    if metrics is not None:
-        metrics.pycompile_fragments.inc()
-        metrics.pycompile_wall.observe(elapsed)
+    _note_build(vm, "fragment", source, elapsed)
     return fn
 
 
@@ -1068,8 +1069,6 @@ def compile_tree_py(vm, tree):
         except Exception as error:
             tree.direct_failed = True
             _contain_pycompile_failure(vm, tree.fragment, error)
-            if vm.metrics is not None:
-                vm.metrics.pycompile_failures.inc()
             return None
         tree.direct_fn = fn
         tree.direct_consts = consts
@@ -1080,10 +1079,7 @@ def compile_tree_py(vm, tree):
     elapsed = time.perf_counter() - started
     if profiler is not None:
         profiler.note_pycompile(tree, elapsed)
-    metrics = vm.metrics
-    if metrics is not None:
-        metrics.pycompile_fragments.inc()
-        metrics.pycompile_wall.observe(elapsed)
+    _note_build(vm, "tree", source, elapsed)
     return fn
 
 

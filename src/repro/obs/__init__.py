@@ -10,17 +10,18 @@ paper's whole-system observability story:
   hot-loop table, top deopt sites;
 * :mod:`repro.obs.timeline` — TraceVis-style ASCII and self-contained
   HTML timeline renderers (``--timeline``);
-* :mod:`repro.obs.metrics` — the live
-  :class:`~repro.obs.metrics.MetricsRegistry` (counters / gauges /
-  histograms; ``--metrics-json`` / ``--metrics-prom``);
+* :mod:`repro.obs.metrics` — the
+  :class:`~repro.obs.metrics.MetricsRegistry` every VM carries as its
+  only counter store (counters / gauges / histograms;
+  ``--metrics-json`` / ``--metrics-prom``);
 * :mod:`repro.obs.spans` — span-based job tracing exported as Chrome
   trace-event JSON (``--trace-export``);
 * :mod:`repro.obs.validate` — schema validation for every telemetry
   artifact the CLI emits (``python -m repro.obs.validate``).
 
-All of it is off by default and charges no simulated cycles when
-enabled; see :meth:`repro.vm.VM.enable_profiling`,
-:meth:`~repro.vm.VM.enable_metrics`, and
+None of it charges simulated cycles.  The metrics registry is always
+attached; the profiler and span recorder are off by default, see
+:meth:`repro.vm.VM.enable_profiling` and
 :meth:`~repro.vm.VM.enable_span_tracing`.
 """
 

@@ -1,4 +1,4 @@
-"""Live metrics registry: counters, gauges, histograms for serving.
+"""The VM's metrics registry: counters, gauges, histograms.
 
 The profiler (:mod:`repro.obs.profiler`) answers "where did the cycles
 of *this finished run* go"; a serving tier needs the complementary
@@ -15,24 +15,25 @@ named instruments in the Prometheus data model:
 Every instrument is a *family*: one name + help string, with one series
 per distinct label combination (``repro_side_exits_total{kind="type"}``).
 
-Wiring follows the repo's observability idiom.  Lifecycle facts that
-already flow through the structured event stream are **folded** from it
-(:meth:`MetricsRegistry.apply_event` subscribes exactly like the stats
-fold does), so the counters can never drift from the events.  Facts the
-stream does not carry get direct hooks at the boundary that owns them —
-the monitor's trace lookup (hit/miss), the cache's per-header
-invalidation, pycompile's wall-clock histogram, the supervisor's queue
-and billing — each guarded by one ``vm.metrics is not None`` attribute
-test.  Point-in-time levels (ledger cycles, cache residency) are
-sampled by **collectors** at snapshot time, Prometheus-scrape style,
-so the hot path never maintains them.
+Every VM has exactly one registry, created by :class:`repro.stats
+.VMStats` and reachable as ``vm.metrics``; it is the VM's only store of
+lifecycle counts.  Lifecycle facts that flow through the structured
+event stream are **folded** from it by :meth:`MetricsRegistry
+.apply_event`, the stream's one counting subscriber, so the counters
+can never drift from the events; :class:`repro.stats.TraceStats`
+exposes them under their historical names as read-only views.  Facts
+the stream does not carry get direct hooks at the boundary that owns
+them — the monitor's trace lookup (hit/miss), the cache's per-header
+invalidation, pycompile's builds and wall-clock histogram, the
+supervisor's queue and billing.  Point-in-time levels (ledger cycles,
+cache residency, native fragment transfers) are sampled by
+**collectors** at snapshot time, Prometheus-scrape style, so the
+hottest paths only bump plain ints.
 
-The contract matches the profiler's: the registry charges **zero
-simulated cycles**, every hook site is skipped when ``vm.metrics is
-None`` (the default), and benchmark tables are byte-identical with
-telemetry on or off.
+The registry charges **zero simulated cycles**: benchmark tables and
+``--stats`` output do not depend on whether a snapshot is exported.
 
-Exports: :meth:`MetricsRegistry.snapshot` (JSON document, schema v1,
+Exports: :meth:`MetricsRegistry.snapshot` (JSON document, schema v2,
 CLI ``--metrics-json``) and :meth:`MetricsRegistry.to_prometheus`
 (text exposition format, CLI ``--metrics-prom``).  See
 docs/INTERNALS.md section 14 for the instrument catalogue and schemas.
@@ -44,10 +45,24 @@ import json
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import events as eventkind
-from repro.costs import Activity
 
 #: Version of the metrics snapshot JSON document (see INTERNALS §14).
-METRICS_SCHEMA_VERSION = 1
+#: History: 1 = initial catalogue; 2 = drops the exit-surfacings
+#: counter (it always equalled ``repro_side_exits_total``), labels the
+#: pycompile build counter by ``unit``, and adds
+#: ``repro_pycompile_source_bytes_total``, ``repro_unstable_trees_total``
+#: and ``repro_optimizer_rewrites_total``.
+METRICS_SCHEMA_VERSION = 2
+
+#: Event kinds :meth:`MetricsRegistry.apply_event` deliberately does not
+#: count (``tests/test_telemetry.py`` checks every other kind is folded).
+UNCOUNTED_EVENT_KINDS = frozenset({
+    # Worker liveness is a level, sampled into ``repro_fleet_workers``.
+    eventkind.WORKER_ONLINE,
+    # A respawned worker's preloads are ``store-load`` events on that
+    # worker VM's own stream, counted by ``repro_store_loads_total``.
+    eventkind.WORKER_WARM_START,
+})
 
 #: Wall-seconds buckets for compile-time histograms (pycompile is a
 #: sub-millisecond affair per fragment; the tail buckets catch
@@ -233,10 +248,11 @@ def _num(value) -> str:
 class MetricsRegistry:
     """All instruments of one VM, plus the event fold and collectors.
 
-    Attach with :meth:`repro.vm.VM.enable_metrics`; the full instrument
-    catalogue is pre-registered here so hook sites grab attributes
-    instead of doing name lookups, and so snapshots always list every
-    family (empty families export their HELP/TYPE header only).
+    Created by :class:`repro.stats.VMStats` (and, separately, by a
+    fleet that captures metrics); the full instrument catalogue is
+    pre-registered here so hook sites grab attributes instead of doing
+    name lookups, and so snapshots always list every family (empty
+    families export their HELP/TYPE header only).
     """
 
     def __init__(self):
@@ -247,7 +263,7 @@ class MetricsRegistry:
         self.trace_lookups = self.counter(
             "repro_trace_lookups_total",
             "Monitor lookups at loop headers, by result (hit = a compiled "
-            "tree matched and ran).",
+            "tree matched and ran; miss = none did).",
             ("result",),
         )
         self.recordings = self.counter(
@@ -265,6 +281,16 @@ class MetricsRegistry:
             "Fragments compiled (whole-trace optimizer + codegen), by kind.",
             ("fragment",),
         )
+        self.unstable_trees = self.counter(
+            "repro_unstable_trees_total",
+            "Root trees compiled with a type-unstable loop edge.",
+        )
+        self.optimizer_rewrites = self.counter(
+            "repro_optimizer_rewrites_total",
+            "Whole-trace optimizer rewrites, by kind (cse = instructions "
+            "CSE'd, guards_elim = guards eliminated, hoisted = ops hoisted).",
+            ("kind",),
+        )
         self.compiled_code_bytes = self.counter(
             "repro_compiled_code_bytes_total",
             "Simulated native code bytes emitted by all compilations.",
@@ -274,18 +300,12 @@ class MetricsRegistry:
             "Side exits that returned control to the monitor, by guard kind.",
             ("kind",),
         )
-        self.exit_surfacings = self.counter(
-            "repro_exit_surfacings_total",
-            "Exit tuples that surfaced all the way to the monitor (the "
-            "transition direct fragment linking exists to avoid), by "
-            "guard kind.",
-            ("kind",),
-        )
         self.fragment_transfers = self.counter(
             "repro_fragment_transfers_total",
             "Fragment-to-fragment transfers that stayed native, by mode "
             "(direct = inside a direct-linked megafunction; stitched = "
-            "mediated by the backend driver's stitch loop).",
+            "mediated by the backend driver's stitch loop; sampled from "
+            "the stats ints at snapshot time).",
             ("mode",),
         )
         self.unstable_links = self.counter(
@@ -355,7 +375,14 @@ class MetricsRegistry:
         # -- pycompile ---------------------------------------------------------
         self.pycompile_fragments = self.counter(
             "repro_pycompile_fragments_total",
-            "Fragments successfully compiled to Python functions.",
+            "Python functions built by pycompile, by unit (fragment = one "
+            "fragment; tree = a direct-linked megafunction rebuild).",
+            ("unit",),
+        )
+        self.pycompile_source_bytes = self.counter(
+            "repro_pycompile_source_bytes_total",
+            "Bytes of Python source pycompile generated, by unit.",
+            ("unit",),
         )
         self.pycompile_failures = self.counter(
             "repro_pycompile_failures_total",
@@ -363,7 +390,7 @@ class MetricsRegistry:
         )
         self.pycompile_wall = self.histogram(
             "repro_pycompile_wall_seconds",
-            "Wall seconds per fragment-to-Python compilation.",
+            "Wall seconds per pycompile build (both units).",
             COMPILE_WALL_BUCKETS,
         )
 
@@ -528,9 +555,9 @@ class MetricsRegistry:
     def apply_event(self, event) -> None:
         """Fold one :class:`repro.core.events.TraceEvent` into counters.
 
-        Subscribed by :meth:`repro.vm.VM.enable_metrics` exactly like
-        the stats fold, so lifecycle counters share the stats counters'
-        single source of truth.
+        The VM subscribes this to its stream at construction; it is the
+        only fold of the stream (kinds it skips are listed in
+        :data:`UNCOUNTED_EVENT_KINDS`).
         """
         kind = event.kind
         payload = event.payload
@@ -541,7 +568,14 @@ class MetricsRegistry:
         elif kind == eventkind.RECORD_ABORT:
             self.record_aborts.inc(1, reason=payload.get("reason", "?"))
         elif kind == eventkind.COMPILE:
-            self.compiles.inc(1, fragment=payload.get("fragment", "?"))
+            fragment = payload.get("fragment", "?")
+            self.compiles.inc(1, fragment=fragment)
+            if fragment == "root" and payload.get("status") == "unstable":
+                self.unstable_trees.inc()
+            for rewrite in ("cse", "guards_elim", "hoisted"):
+                amount = payload.get(rewrite, 0)
+                if amount:
+                    self.optimizer_rewrites.inc(amount, kind=rewrite)
             self.compiled_code_bytes.inc(payload.get("code_size", 0))
         elif kind == eventkind.LINK:
             self.fragments_linked.inc(1, fragment=payload.get("fragment", "?"))
@@ -603,7 +637,7 @@ class MetricsRegistry:
     # -- export ------------------------------------------------------------------
 
     def snapshot(self, program: Optional[str] = None) -> dict:
-        """Point-in-time JSON document (schema v1; CLI ``--metrics-json``)."""
+        """Point-in-time JSON document (schema v2; CLI ``--metrics-json``)."""
         self.collect()
         counters, gauges, histograms = [], [], []
         for instrument in self._instruments.values():
@@ -664,11 +698,18 @@ class MetricsRegistry:
 
 
 def attach_vm_collector(registry: MetricsRegistry, vm) -> None:
-    """Sample ledger and cache levels into gauges at snapshot time."""
+    """Sample ledger, transfer and cache levels at snapshot time."""
 
     def _collect(reg: MetricsRegistry) -> None:
-        for activity, cycles in vm.stats.ledger.by_activity.items():
+        stats = vm.stats
+        for activity, cycles in stats.ledger.by_activity.items():
             reg.simulated_cycles.set(cycles, activity=activity.value)
+        # Native transfers are too hot for a labelled ``inc`` per
+        # transfer; the stats keep plain ints and the counter mirrors them.
+        for mode, count in (("direct", stats.tracing.transfers_direct),
+                            ("stitched", stats.tracing.transfers_stitched)):
+            if count:
+                reg.fragment_transfers.values[(mode,)] = count
         monitor = getattr(vm, "monitor", None)
         if monitor is not None:
             cache = monitor.cache

@@ -9,7 +9,7 @@ retries punctuated it.  This module records that as spans:
   a parent, opened and closed by hooks in the supervisor and VM;
 * an **instant** is a point event (side exit, abort, flush, guest
   fault, retry) folded from the existing event stream, exactly like the
-  stats and metrics folds;
+  metrics fold;
 * the VM's **phase spans** (interpret/record/compile/native/...) are
   not re-instrumented — they are derived from the phase profiler's
   retained timeline intervals, so both views share one source of truth.
@@ -19,7 +19,7 @@ Timestamps are **simulated cycles rendered as microseconds** (1 cycle =
 wall-clock of each span rides along in its ``args``.  The recorder
 charges zero simulated cycles and every hook is skipped when
 ``vm.span_recorder is None`` (the default) — the same disabled-contract
-as the profiler and the metrics registry.
+as the profiler.
 
 Export is Chrome trace-event JSON (the *JSON object format*:
 ``{"schema_version": ..., "traceEvents": [...]}``), loadable directly
@@ -172,7 +172,7 @@ class SpanRecorder:
 
     def apply_event(self, event) -> None:
         """Fold one trace event into an instant marker (same idiom as
-        the stats and metrics folds; subscribed by ``enable_span_tracing``)."""
+        the metrics fold; subscribed by ``enable_span_tracing``)."""
         mapping = _INSTANT_KINDS.get(event.kind)
         if mapping is None:
             return

@@ -17,7 +17,7 @@ container deliberately does not ship.
 
 Current versions: events v7 (:data:`repro.core.events
 .EVENT_SCHEMA_VERSION`), profile v5 (:data:`repro.obs.profiler
-.PROFILE_SCHEMA_VERSION`), metrics v1, spans v1, BENCH_wallclock v3,
+.PROFILE_SCHEMA_VERSION`), metrics v2, spans v1, BENCH_wallclock v3,
 BENCH_throughput v1, BENCH_warmstart v1, trace-store manifest v1
 (:data:`repro.core.store.STORE_SCHEMA`).
 """

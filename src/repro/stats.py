@@ -8,14 +8,14 @@ Three consumers:
   branch traces attached, aborts, blacklistings, side exits, ...);
 * the trace cache reports its lifecycle (flushes, retired fragments).
 
-Lifecycle counters are a **fold over the structured event stream**
-(:mod:`repro.core.events`): the VM subscribes
-:meth:`TraceStats.apply_event` to its stream, and every recording /
-compile / link / side-exit / blacklist / flush event updates the
-counters here.  Only per-bytecode and per-instruction figures that are
-too hot for event dispatch (``loops_seen``, ``trace_entries``,
-``stitched_transfers``, ``loop_iterations_native``, ...) are still
-incremented directly.
+Lifecycle counts have **one store**: the VM's
+:class:`repro.obs.metrics.MetricsRegistry`, created here by
+:class:`VMStats` and fed by folding the structured event stream
+(:mod:`repro.core.events`).  :class:`TraceStats` reads them back under
+their historical names as read-only views.  Only per-bytecode and
+per-instruction figures that are too hot for event dispatch
+(``trace_entries``, the two transfer counts,
+``loop_iterations_native``, ...) are plain ints incremented directly.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.core import events as eventkind
 from repro.costs import Activity, CycleLedger
+from repro.obs.metrics import MetricsRegistry
 
 
 @dataclass
@@ -59,61 +59,91 @@ class ExecutionProfile:
         return self.interpreted / total
 
 
+def _count(family: str, **labels) -> property:
+    """A read-only view of one registry series (or a family's total)."""
+    if labels:
+        return property(lambda self: getattr(self.metrics, family).value(**labels))
+    return property(lambda self: getattr(self.metrics, family).total)
+
+
 @dataclass
 class TraceStats:
     """Counters for tracing events.
 
-    The lifecycle counters (recordings, compiles, links, side exits,
-    blacklistings, cache flushes) are maintained by :meth:`apply_event`
-    folding the VM's event stream; the rest are direct.
+    The int fields are hot counts, incremented directly.  Every other
+    count is a view of :attr:`metrics`, the VM's registry, which folds
+    the event stream.
     """
 
-    loops_seen: int = 0
-    recordings_started: int = 0
-    traces_completed: int = 0
-    traces_aborted: int = 0
-    abort_reasons: Dict[str, int] = field(default_factory=dict)
-    trees_formed: int = 0
-    branch_traces: int = 0
-    unstable_traces: int = 0
-    unstable_links: int = 0
+    metrics: MetricsRegistry = field(
+        default_factory=MetricsRegistry, repr=False, compare=False
+    )
     tree_calls_recorded: int = 0
     tree_calls_executed: int = 0
     trace_entries: int = 0
-    side_exits_taken: int = 0
-    stitched_transfers: int = 0
+    #: Fragment-to-fragment transfers that stayed native: inside a
+    #: direct-linked megafunction, or through the backend's stitch loop.
+    transfers_direct: int = 0
+    transfers_stitched: int = 0
     loop_iterations_native: int = 0
-    blacklisted: int = 0
-    backoffs: int = 0
     oracle_marks: int = 0
     guards_emitted: int = 0
     deep_bails: int = 0
-    #: Whole-trace optimizer removal counters (folded from COMPILE
-    #: event payloads, so both backends agree byte-for-byte).
-    opt_cse_removed: int = 0
-    opt_guards_eliminated: int = 0
-    opt_hoisted: int = 0
-    fragments_linked: int = 0
-    fragments_retired: int = 0
-    cache_flushes: int = 0
-    peer_overflows: int = 0
-    branch_caps: int = 0
-    internal_failures: int = 0
-    faults_injected: int = 0
-    safe_mode: bool = False
-    script_deadlines: int = 0
-    quota_breaches: int = 0
-    script_cancels: int = 0
-    jobs_retried: int = 0
+
+    loops_seen = _count("trace_lookups", result="miss")
+    recordings_started = _count("recordings")
+    traces_completed = _count("compiles")
+    traces_aborted = _count("record_aborts")
+    trees_formed = _count("compiles", fragment="root")
+    unstable_traces = _count("unstable_trees")
+    unstable_links = _count("unstable_links")
+    side_exits_taken = _count("side_exits")
+    blacklisted = _count("blacklists")
+    backoffs = _count("backoffs")
+    opt_cse_removed = _count("optimizer_rewrites", kind="cse")
+    opt_guards_eliminated = _count("optimizer_rewrites", kind="guards_elim")
+    opt_hoisted = _count("optimizer_rewrites", kind="hoisted")
+    fragments_linked = _count("fragments_linked")
+    cache_flushes = _count("cache_flushes")
+    peer_overflows = _count("capacity_refusals", kind="peer-overflow")
+    branch_caps = _count("capacity_refusals", kind="branch-cap")
+    internal_failures = _count("firewall_trips")
+    faults_injected = _count("faults_injected")
+    script_deadlines = _count("guest_faults", kind="deadline")
+    quota_breaches = _count("guest_faults", kind="quota")
+    script_cancels = _count("guest_faults", kind="cancelled")
+    #: Total resource-policy violations by the guest program.
+    guest_faults = _count("guest_faults")
+    jobs_retried = _count("job_retries")
 
     @property
-    def guest_faults(self) -> int:
-        """Total resource-policy violations by the guest program."""
-        return self.script_deadlines + self.quota_breaches + self.script_cancels
+    def branch_traces(self) -> int:
+        return self.traces_completed - self.trees_formed
 
-    def count_abort(self, reason: str) -> None:
-        self.traces_aborted += 1
-        self.abort_reasons[reason] = self.abort_reasons.get(reason, 0) + 1
+    @property
+    def stitched_transfers(self) -> int:
+        """Every native fragment-to-fragment transfer, both paths."""
+        return self.transfers_direct + self.transfers_stitched
+
+    @property
+    def fragments_retired(self) -> int:
+        """Fragments retired by whole-cache flushes."""
+        retired = self.metrics.fragments_retired.values
+        return sum(
+            count for (reason,), count in retired.items()
+            if reason.startswith("flush:")
+        )
+
+    @property
+    def safe_mode(self) -> bool:
+        return self.metrics.safe_mode_entries.total > 0
+
+    @property
+    def abort_reasons(self) -> Dict[str, int]:
+        return {
+            reason: count
+            for (reason,), count in self.metrics.record_aborts.values.items()
+        }
 
     def top_abort_reasons(self, limit: int = 3) -> List[tuple]:
         """The most frequent abort reasons, ``(reason, count)`` pairs."""
@@ -122,59 +152,6 @@ class TraceStats:
         )
         return ranked[:limit]
 
-    # -- the event fold ----------------------------------------------------------
-
-    def apply_event(self, event) -> None:
-        """Fold one :class:`repro.core.events.TraceEvent` into the counters."""
-        kind = event.kind
-        if kind == eventkind.SIDE_EXIT:
-            self.side_exits_taken += 1
-        elif kind == eventkind.RECORD_START:
-            self.recordings_started += 1
-        elif kind == eventkind.RECORD_ABORT:
-            self.count_abort(event.payload["reason"])
-        elif kind == eventkind.COMPILE:
-            self.traces_completed += 1
-            payload = event.payload
-            self.opt_cse_removed += payload.get("cse", 0)
-            self.opt_guards_eliminated += payload.get("guards_elim", 0)
-            self.opt_hoisted += payload.get("hoisted", 0)
-            if event.payload["fragment"] == "root":
-                self.trees_formed += 1
-                if event.payload.get("status") == "unstable":
-                    self.unstable_traces += 1
-            else:
-                self.branch_traces += 1
-        elif kind == eventkind.LINK:
-            self.fragments_linked += 1
-        elif kind == eventkind.UNSTABLE_LINK:
-            self.unstable_links += 1
-        elif kind == eventkind.BACKOFF:
-            self.backoffs += 1
-        elif kind == eventkind.BLACKLIST:
-            self.blacklisted += 1
-        elif kind == eventkind.FLUSH:
-            self.cache_flushes += 1
-            self.fragments_retired += event.payload.get("fragments", 0)
-        elif kind == eventkind.PEER_OVERFLOW:
-            self.peer_overflows += 1
-        elif kind == eventkind.BRANCH_CAP:
-            self.branch_caps += 1
-        elif kind == eventkind.JIT_INTERNAL_FAILURE:
-            self.internal_failures += 1
-        elif kind == eventkind.FAULT_INJECTED:
-            self.faults_injected += 1
-        elif kind == eventkind.SAFE_MODE:
-            self.safe_mode = True
-        elif kind == eventkind.SCRIPT_DEADLINE:
-            self.script_deadlines += 1
-        elif kind == eventkind.QUOTA_EXCEEDED:
-            self.quota_breaches += 1
-        elif kind == eventkind.SCRIPT_CANCELLED:
-            self.script_cancels += 1
-        elif kind == eventkind.JOB_RETRIED:
-            self.jobs_retried += 1
-
 
 @dataclass
 class VMStats:
@@ -182,13 +159,15 @@ class VMStats:
 
     ledger: CycleLedger = field(default_factory=CycleLedger)
     profile: ExecutionProfile = field(default_factory=ExecutionProfile)
-    tracing: TraceStats = field(default_factory=TraceStats)
+    #: The VM's only counter store (``vm.metrics`` is the same object).
+    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
+    tracing: TraceStats = field(init=False)
     #: The attached :class:`repro.obs.profiler.PhaseProfiler`, when the
     #: VM enabled profiling (set by :meth:`repro.vm.VM.enable_profiling`).
     profiler: object = None
-    #: The attached :class:`repro.obs.metrics.MetricsRegistry`, when the
-    #: VM enabled metrics (set by :meth:`repro.vm.VM.enable_metrics`).
-    metrics: object = None
+
+    def __post_init__(self):
+        self.tracing = TraceStats(self.metrics)
 
     @property
     def total_cycles(self) -> int:

@@ -19,6 +19,7 @@ from repro.bytecode.compiler import Code, compile_program
 from repro.core.events import EventStream
 from repro.core.preempt import PreemptionMixin
 from repro.interp.interpreter import Interpreter
+from repro.obs.metrics import attach_vm_collector
 from repro.runtime.builtins import install_globals
 from repro.runtime.values import Box
 from repro.stats import VMStats
@@ -40,10 +41,7 @@ class VMConfig:
       nanojit's code cache (0 = unlimited);
     * ``capture_events`` — retain the structured trace-lifecycle event
       stream for JSONL export (events are always *dispatched* to the
-      stats fold; capture only controls retention);
-    * ``profile`` — attach a :class:`repro.obs.profiler.PhaseProfiler`
-      at construction (``profile_timeline`` additionally retains the
-      interval timeline for the TraceVis-style renderers);
+      metrics fold; capture only controls retention);
     * ``enable_jit_firewall`` / ``max_internal_failures`` — the JIT
       firewall (:mod:`repro.hardening`) contains internal JIT failures
       and, after ``max_internal_failures`` trips, flips the VM into
@@ -68,15 +66,6 @@ class VMConfig:
     code_cache_budget: int = 0
     enable_cache_flush: bool = True
     capture_events: bool = False
-    profile: bool = False
-    profile_timeline: bool = False
-    #: Attach a :class:`repro.obs.metrics.MetricsRegistry` at
-    #: construction (``--metrics-json`` / ``--metrics-prom``).
-    metrics: bool = False
-    #: Attach a :class:`repro.obs.spans.SpanRecorder` at construction
-    #: (``--trace-export``); implies profiling with the timeline on, so
-    #: the exported trace has the VM phase lane.
-    spans: bool = False
     enable_tracing: bool = True
     enable_nesting: bool = True
     enable_oracle: bool = True
@@ -134,10 +123,14 @@ class VM(PreemptionMixin):
     def __init__(self, config: Optional[VMConfig] = None):
         self.config = config or VMConfig()
         self.stats = VMStats()
-        #: Structured trace-lifecycle event stream; the stats counters
-        #: are a fold over it (see repro.core.events).
+        #: The :class:`repro.obs.metrics.MetricsRegistry` that holds
+        #: every lifecycle count; charges zero simulated cycles.
+        self.metrics = self.stats.metrics
+        attach_vm_collector(self.metrics, self)
+        #: Structured trace-lifecycle event stream; the lifecycle
+        #: counters are a fold over it (see repro.core.events).
         self.events = EventStream(capture=self.config.capture_events)
-        self.events.subscribe(self.stats.tracing.apply_event)
+        self.events.subscribe(self.metrics.apply_event)
         self.globals: dict = {}
         self.output: List[str] = []
         self._init_preemption()
@@ -147,10 +140,6 @@ class VM(PreemptionMixin):
         #: Optional :class:`repro.obs.profiler.PhaseProfiler`; ``None``
         #: (the default) keeps every hook site to one attribute test.
         self.profiler = None
-        #: Optional :class:`repro.obs.metrics.MetricsRegistry`; same
-        #: contract as the profiler (None by default, one attribute
-        #: test per hook, zero simulated cycles when attached).
-        self.metrics = None
         #: Optional :class:`repro.obs.spans.SpanRecorder`; ditto.
         self.span_recorder = None
         self.interpreter = Interpreter(self, self.config.dispatch_cost)
@@ -191,12 +180,6 @@ class VM(PreemptionMixin):
                 budget=self.config.trace_store_budget,
             )
             self.monitor.cache.store = self.trace_store
-        if self.config.profile:
-            self.enable_profiling(timeline=self.config.profile_timeline)
-        if self.config.metrics:
-            self.enable_metrics()
-        if self.config.spans:
-            self.enable_span_tracing()
 
     @property
     def firewall(self):
@@ -222,26 +205,6 @@ class VM(PreemptionMixin):
         return self.profiler
 
     # -- telemetry -----------------------------------------------------------
-
-    def enable_metrics(self):
-        """Attach (or return) the VM's live metrics registry.
-
-        The registry folds the event stream for lifecycle counters and
-        samples the ledger / cache gauges at snapshot time; direct hook
-        sites (monitor lookup, pycompile, cache eviction) check
-        ``vm.metrics is not None`` — one attribute test when disabled,
-        zero simulated cycles always.
-        """
-        if self.metrics is None:
-            from repro.obs.metrics import MetricsRegistry, attach_vm_collector
-
-            self.metrics = MetricsRegistry()
-            attach_vm_collector(self.metrics, self)
-            self.events.subscribe(self.metrics.apply_event)
-            self.stats.metrics = self.metrics
-            if self.monitor is not None:
-                self.monitor.cache.metrics = self.metrics
-        return self.metrics
 
     def enable_span_tracing(self):
         """Attach (or return) the VM's span recorder (``--trace-export``).

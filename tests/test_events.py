@@ -122,9 +122,9 @@ class TestStatsFold:
 
     def test_top_abort_reasons_in_summary(self):
         vm = TracingVM()
-        vm.stats.tracing.count_abort("rare")
+        vm.events.emit("record-abort", reason="rare")
         for _ in range(5):
-            vm.stats.tracing.count_abort("common")
+            vm.events.emit("record-abort", reason="common")
         text = "\n".join(vm.stats.summary_lines())
         assert "top abort reasons" in text
         # Ranked by count: the common reason leads.

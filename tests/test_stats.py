@@ -1,7 +1,12 @@
 """Tests for the cycle ledger, execution profile, and VM stats."""
 
+from repro.core.events import COMPILE, RECORD_ABORT, TraceEvent
 from repro.costs import Activity, CycleLedger
 from repro.stats import ExecutionProfile, TraceStats, VMStats
+
+
+def fold_abort(stats, reason):
+    stats.metrics.apply_event(TraceEvent(0, RECORD_ABORT, {"reason": reason}))
 
 
 class TestCycleLedger:
@@ -45,9 +50,9 @@ class TestExecutionProfile:
 class TestTraceStats:
     def test_abort_counting(self):
         stats = TraceStats()
-        stats.count_abort("reason-a")
-        stats.count_abort("reason-a")
-        stats.count_abort("reason-b")
+        fold_abort(stats, "reason-a")
+        fold_abort(stats, "reason-a")
+        fold_abort(stats, "reason-b")
         assert stats.traces_aborted == 3
         assert stats.abort_reasons == {"reason-a": 2, "reason-b": 1}
 
@@ -57,12 +62,15 @@ class TestVMStats:
         stats = VMStats()
         stats.ledger.charge(Activity.NATIVE, 100)
         stats.profile.native = 50
-        stats.tracing.trees_formed = 2
-        stats.tracing.count_abort("oops")
+        for fragment in ("root", "root", "branch"):
+            stats.metrics.apply_event(
+                TraceEvent(0, COMPILE, {"fragment": fragment})
+            )
+        fold_abort(stats.tracing, "oops")
         lines = stats.summary_lines()
         text = "\n".join(lines)
         assert "total simulated cycles : 100" in text
-        assert "trees formed           : 2" in text
+        assert "trees formed           : 2 (+1 branch traces)" in text
         assert "oops" in text
 
     def test_time_breakdown_keys(self):

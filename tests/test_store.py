@@ -555,10 +555,8 @@ def test_fleet_initial_spawn_does_not_warm_start(tmp_path):
 
 def test_store_metrics_families(tmp_path):
     writer = TracingVM(_config(tmp_path, capture_events=True))
-    writer.enable_metrics()
     writer.run(LOOP_SOURCE, name="loop")
     warm = TracingVM(_config(tmp_path, capture_events=True))
-    warm.enable_metrics()
     warm.run(LOOP_SOURCE, name="loop")
 
     warm.metrics.collect()
@@ -588,7 +586,6 @@ def test_store_load_failure_metric_by_reason(tmp_path):
     with open(path, "wb") as handle:
         handle.write(b"torn")
     vm = TracingVM(_config(tmp_path, capture_events=True))
-    vm.enable_metrics()
     vm.run(LOOP_SOURCE, name="loop")
     snapshot = vm.metrics.snapshot()
     failures = next(f for f in snapshot["counters"]

@@ -1,15 +1,16 @@
 """Tests for the production-telemetry layer: metrics, spans, validation.
 
-The contract under test (ISSUE 7, mirroring the profiler's):
+The contract under test:
 
-* **zero cost when off** — a VM without metrics/spans spends exactly
-  the same simulated cycles, produces the same results, the same event
-  counts, and the same stats as one with them;
+* **one counter store** — every engine carries a metrics registry,
+  and the ``TraceStats`` lifecycle counts are views of it;
+* **zero cost** — spans (off by default) and metrics exports charge no
+  simulated cycles and change no results, event counts or stats;
 * **conservation** — the sampled per-activity cycle gauges sum to the
   ledger total, which equals the profiler's phase total (one source of
   truth, three views);
-* **fold agreement** — lifecycle counters derived from the event
-  stream equal the stats fold's counters;
+* **fold coverage** — every event kind is either counted by the
+  registry's fold or explicitly listed as not counted;
 * **schema stability** — every exported artifact passes
   :mod:`repro.obs.validate` against its declared ``schema_version``.
 """
@@ -21,8 +22,15 @@ import pytest
 
 from repro import TracingVM, VMConfig
 from repro.cli import main as cli_main
+from repro.core import events as eventkind
+from repro.core.events import TraceEvent
 from repro.exec import Job, ResourceLimits, Supervisor
-from repro.obs.metrics import METRICS_SCHEMA_VERSION, MetricsRegistry
+from repro.obs.metrics import (
+    METRICS_SCHEMA_VERSION,
+    UNCOUNTED_EVENT_KINDS,
+    MetricsRegistry,
+)
+from tests.helpers import ALL_ENGINES
 from repro.obs.spans import SPANS_SCHEMA_VERSION, TRACK_PHASES
 from repro.obs.validate import ValidationError, detect_and_validate
 
@@ -50,20 +58,61 @@ BRANCHY = (
 
 def run_with_telemetry(source, config=None):
     vm = TracingVM(config)
-    vm.enable_metrics()
     vm.enable_span_tracing()
     result = vm.run(source)
     return result, vm
 
 
+def _series_sum(snapshot, name, **labels):
+    family = next(
+        f for f in snapshot["counters"] if f["name"] == name
+    )
+    return sum(
+        series["value"] for series in family["series"]
+        if all(series["labels"][k] == v for k, v in labels.items())
+    )
+
+
 class TestDisabledContract:
-    def test_disabled_vm_has_no_telemetry(self):
+    """Spans and the profiler are off by default; the registry never is."""
+
+    def test_every_engine_has_a_registry(self):
+        for name, engine in ALL_ENGINES.items():
+            vm = engine()
+            vm.run(BRANCHY)
+            assert isinstance(vm.metrics, MetricsRegistry), name
+            assert vm.stats.metrics is vm.metrics, name
+            assert vm.stats.tracing.metrics is vm.metrics, name
+            assert getattr(vm, "span_recorder", None) is None, name
+            assert getattr(vm, "profiler", None) is None, name
+        assert vm.monitor.cache.metrics is vm.metrics
+
+    def test_snapshot_agrees_with_trace_stats_views(self):
         vm = TracingVM()
-        vm.run(BRANCHY)
-        assert vm.metrics is None
-        assert vm.span_recorder is None
-        assert vm.stats.metrics is None
-        assert vm.monitor.cache.metrics is None
+        vm.run(SIEVE)
+        snapshot = vm.metrics.snapshot()
+        tracing = vm.stats.tracing
+        views = {
+            "side_exits_taken": ("repro_side_exits_total", {}),
+            "recordings_started": ("repro_recordings_total", {}),
+            "traces_completed": ("repro_compiles_total", {}),
+            "trees_formed": ("repro_compiles_total", {"fragment": "root"}),
+            "branch_traces": ("repro_compiles_total", {"fragment": "branch"}),
+            "traces_aborted": ("repro_record_aborts_total", {}),
+            "fragments_linked": ("repro_fragments_linked_total", {}),
+            "loops_seen": ("repro_trace_lookups_total", {"result": "miss"}),
+            "stitched_transfers": ("repro_fragment_transfers_total", {}),
+            "unstable_traces": ("repro_unstable_trees_total", {}),
+            "opt_cse_removed": ("repro_optimizer_rewrites_total",
+                                {"kind": "cse"}),
+        }
+        for view, (family, labels) in views.items():
+            assert getattr(tracing, view) == _series_sum(
+                snapshot, family, **labels
+            ), view
+        assert tracing.trees_formed >= 1
+        assert tracing.side_exits_taken >= 1
+        assert tracing.stitched_transfers >= 1
 
     def test_telemetry_charges_no_simulated_cycles(self):
         plain = TracingVM()
@@ -77,6 +126,7 @@ class TestDisabledContract:
         result, vm = run_with_telemetry(SIEVE)
         assert repr(result) == repr(expected)
         assert vm.events.counts == plain.events.counts
+        assert vm.metrics.flat_counters() == plain.metrics.flat_counters()
         assert vm.stats.tracing == plain.stats.tracing
         assert vm.stats.profile == plain.stats.profile
         assert vm.stats.ledger.by_activity == plain.stats.ledger.by_activity
@@ -129,15 +179,14 @@ class TestConservation:
         assert gauge_sum == vm.profiler.total_cycles
 
     def test_fold_agrees_with_stats_fold(self):
+        """The fold counts exactly what the event stream carried."""
         _r, vm = run_with_telemetry(SIEVE)
-        metrics, tracing = vm.metrics, vm.stats.tracing
-        assert metrics.side_exits.total == tracing.side_exits_taken
-        assert metrics.recordings.total == tracing.recordings_started
-        assert metrics.compiles.total == tracing.traces_completed
-        assert metrics.fragments_linked.total == tracing.fragments_linked
-        assert metrics.record_aborts.total == tracing.traces_aborted
-        assert metrics.compiles.value(fragment="root") == tracing.trees_formed
-        assert metrics.compiles.value(fragment="branch") == tracing.branch_traces
+        counts, tracing = vm.events.counts, vm.stats.tracing
+        assert counts.get(eventkind.SIDE_EXIT, 0) == tracing.side_exits_taken
+        assert counts.get(eventkind.RECORD_START, 0) == tracing.recordings_started
+        assert counts.get(eventkind.COMPILE, 0) == tracing.traces_completed
+        assert counts.get(eventkind.LINK, 0) == tracing.fragments_linked
+        assert counts.get(eventkind.RECORD_ABORT, 0) == tracing.traces_aborted
 
     def test_trace_lookups_and_cache_gauges(self):
         _r, vm = run_with_telemetry(SIEVE)
@@ -148,6 +197,18 @@ class TestConservation:
         assert vm.metrics.cache_code_size.value() == cache.code_size_used
         assert vm.metrics.cache_trees.value() == cache.tree_count
         assert vm.metrics.cache_fragments.value() == cache.fragment_count
+
+    def test_pycompile_builds_by_unit(self):
+        """Megafunction rebuilds are told apart from fragment compiles."""
+        vm = TracingVM()
+        vm.run(BRANCHY)
+        builds = vm.metrics.pycompile_fragments
+        source = vm.metrics.pycompile_source_bytes
+        assert builds.value(unit="fragment") >= 1
+        assert builds.value(unit="tree") >= 1
+        assert source.value(unit="fragment") > 0
+        assert source.value(unit="tree") > 0
+        assert vm.metrics.pycompile_wall.series()[0]["count"] == builds.total
 
     def test_pycompile_histogram_counts_fragments(self):
         _r, vm = run_with_telemetry(SIEVE)
@@ -161,6 +222,20 @@ class TestConservation:
 
 
 class TestRegistry:
+    def test_every_event_kind_is_counted_or_listed(self):
+        """A new event kind must be folded or declared not counted."""
+        kinds = {
+            value for name, value in vars(eventkind).items()
+            if name.isupper() and isinstance(value, str)
+        }
+        assert UNCOUNTED_EVENT_KINDS <= kinds
+        for kind in sorted(kinds):
+            registry = MetricsRegistry()
+            # ``store-fallback`` counts only load-side failures.
+            registry.apply_event(TraceEvent(1, kind, {"boundary": "store.load"}))
+            counted = any(registry.flat_counters().values())
+            assert counted != (kind in UNCOUNTED_EVENT_KINDS), kind
+
     def test_counters_reject_negative_and_wrong_labels(self):
         registry = MetricsRegistry()
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from repro import TracingVM, VMConfig
 from repro.core import events as eventkind
 from repro.core.cache import FragmentState, TraceCache
 from repro.core.events import EventStream
+from repro.obs.metrics import MetricsRegistry
 from tests.helpers import run_baseline, run_tracing
 
 # Two hot function loops driven repeatedly from a hot outer loop: the
@@ -197,7 +198,7 @@ class TestBranchCap:
 class TestCacheUnit:
     def _cache(self, **overrides):
         config = VMConfig(**overrides)
-        return TraceCache(config, EventStream(capture=True))
+        return TraceCache(config, EventStream(capture=True), MetricsRegistry())
 
     def test_hotness_counting(self):
         cache = self._cache()
