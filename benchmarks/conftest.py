@@ -62,7 +62,6 @@ def measure_wallclock(source: str, backend: str, runs: int = 3,
         cycles = vm.stats.total_cycles
         compile_wall = vm.profiler.pycompile_wall
         transitions = {
-            "direct_transfers": vm.profiler.transfers_direct,
             "monitor_stitched": vm.profiler.transfers_stitched,
             "exit_surfacings": vm.profiler.total_side_exits,
         }

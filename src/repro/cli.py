@@ -81,15 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--no-direct-link",
-        action="store_true",
-        help=(
-            "disable direct fragment linking (the py backend's per-tree "
-            "megafunction); every fragment transition surfaces an exit "
-            "tuple to the native machine as before"
-        ),
-    )
-    parser.add_argument(
         "--opt-level",
         type=int,
         choices=(0, 1, 2),
@@ -194,7 +185,7 @@ def add_telemetry_arguments(parser) -> None:
         metavar="FILE",
         help=(
             "write the metrics registry's JSON snapshot "
-            "(counters/gauges/histograms, schema v2) to FILE"
+            "(counters/gauges/histograms, schema v3) to FILE"
         ),
     )
     telemetry.add_argument(
@@ -337,14 +328,11 @@ def build_config(args):
 
     if not (args.inject_fault or args.chaos_seed is not None
             or args.no_jit_firewall or args.native_backend != "py"
-            or args.opt_level != 2 or args.trace_store
-            or args.no_direct_link):
+            or args.opt_level != 2 or args.trace_store):
         return None
     config = VMConfig()
     config.native_backend = args.native_backend
     config.opt_level = args.opt_level
-    if args.no_direct_link:
-        config.enable_direct_link = False
     if args.trace_store:
         config.trace_store = args.trace_store
         config.trace_store_budget = args.trace_store_budget

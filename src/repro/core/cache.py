@@ -248,13 +248,6 @@ class TraceCache:
                 raise AssertionError(
                     f"retired fragment retains a compiled callable: {fragment!r}"
                 )
-        if tree.fragment.state is FragmentState.RETIRED and (
-            getattr(tree, "direct_fn", None) is not None
-            or getattr(tree, "direct_consts", None) is not None
-        ):
-            raise AssertionError(
-                f"retired tree retains a direct-link megafunction: {tree!r}"
-            )
 
     def invalidate_header(self, code, header_pc: int, reason: str) -> int:
         """Retire every peer tree at a header (e.g. on blacklisting).

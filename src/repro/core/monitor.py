@@ -340,9 +340,6 @@ class TraceMonitor:
             linked = self.cache.register_branch(tree, fragment)
             if linked and self.config.enable_stitching:
                 recorder.anchor_exit.target = fragment
-                # The link graph changed: any direct-link megafunction
-                # built for this tree is stale and rebuilds lazily.
-                tree.link_version += 1
         else:
             fragment.bytecount = recorder.bytecodes_recorded
             tree.compile_fragment(fragment, lir, self.config)

@@ -907,9 +907,6 @@ class _EntryLoader:
                 target = exit_record.get("target")
                 if target is not None:
                     exit.target = fragments[target]
-                    # The restored link graph differs from the fresh
-                    # tree's; any direct-link megafunction must rebuild.
-                    tree.link_version += 1
             del tree._store_all_exits
 
     def _fill_tree(self, tree: TraceTree, record: dict) -> None:

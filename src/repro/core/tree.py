@@ -133,18 +133,6 @@ class TraceTree:
         #: Tree-wide value-numbering state (:class:`repro.jit.optimizer
         #: .TreeValueState`), lazily created at the first CSE pass.
         self.opt_vn = None
-        #: Direct-link state (py backend; see repro.jit.pycompile).
-        #: ``link_version`` is bumped whenever the tree's link graph
-        #: changes (a side exit gains a target, a store preload rewires
-        #: targets); the tree-level "megafunction" is rebuilt lazily
-        #: when ``direct_link_version`` no longer matches.
-        self.link_version = 0
-        self.direct_fn = None
-        self.direct_consts = None
-        self.direct_link_version = -1
-        #: Latched when megafunction emission failed (firewall-contained)
-        #: so the backend falls back to per-fragment dispatch for good.
-        self.direct_failed = False
 
     # -- AR layout ---------------------------------------------------------------
 
@@ -272,11 +260,6 @@ class TraceTree:
             if fragment.state is not FragmentState.RETIRED:
                 fragment.retire()
                 retired += 1
-        # Drop the direct-link megafunction with the fragments it
-        # inlines: evicted code must never run again through any entry.
-        self.direct_fn = None
-        self.direct_consts = None
-        self.direct_link_version = -1
         if self.profile is not None:
             self.profile.retired = True
         return retired

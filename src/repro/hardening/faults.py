@@ -57,10 +57,6 @@ ORACLE_RECORD = "oracle.record"
 #: fragment emission; fires before any codegen state exists, so the
 #: fragment simply runs on the step machine).
 PYCOMPILE_EMIT = "pycompile.emit"
-#: Python backend: entry of ``pycompile.compile_tree_py`` (once per
-#: direct-link megafunction emission; fires before any codegen state
-#: exists, so the tree simply runs on per-fragment dispatch).
-PYCOMPILE_LINK = "pycompile.link"
 
 #: Fleet scheduling: a worker dies abruptly at the moment it begins a
 #: job attempt (the fleet must respawn it and resubmit the job).
@@ -118,18 +114,10 @@ STORE_FAULT_SITES = (
     STORE_LOAD_RACE,
 )
 
-#: Direct-link injection sites: they fire in the py backend's tree
-#: "megafunction" emission (``repro.jit.pycompile.compile_tree_py``).
-#: Kept out of :data:`FAULT_SITES` so seeded plans keep their historic
-#: sampling.
-LINK_FAULT_SITES = (
-    PYCOMPILE_LINK,
-)
-
 #: Every registered site, per-VM, fleet-level, and store alike
 #: (FaultPlan validates against this; ``--fault-sites`` prints it).
 ALL_FAULT_SITES = (
-    FAULT_SITES + LINK_FAULT_SITES + FLEET_FAULT_SITES + STORE_FAULT_SITES
+    FAULT_SITES + FLEET_FAULT_SITES + STORE_FAULT_SITES
 )
 
 #: One-line description per site (``python -m repro --fault-sites``).
@@ -144,7 +132,6 @@ SITE_HELP = {
     CACHE_FLUSH: "whole-cache flush, once per flush",
     ORACLE_RECORD: "oracle bookkeeping, once per mark_double",
     PYCOMPILE_EMIT: "python-backend fragment emission, once per fragment",
-    PYCOMPILE_LINK: "python-backend megafunction emission, once per tree",
     FLEET_WORKER_CRASH: "fleet worker, dies at a job-attempt start",
     FLEET_WORKER_HANG: "fleet worker, wedges at a job-attempt start",
     FLEET_STEAL_RACE: "fleet work stealing, thief loses the claim race",

@@ -24,16 +24,12 @@ Emission strategy (see docs/INTERNALS.md section 12):
 * a root fragment's ``loopjmp`` becomes ``continue`` on a ``while``
   loop around the body; ``jtree`` returns a transfer request.
 
-**Direct fragment linking** (``enable_direct_link``, the default): once
-a tree has stitched branch fragments, the whole tree is compiled again
-as one "megafunction" (:class:`_TreeEmitter`) with every LINKED branch
-body inlined at its guard site, so hot trunk<->branch transitions stay
-inside a single Python frame instead of surfacing an exit tuple to the
-driver on every transfer.  The megafunction is cached on the tree and
-rebuilt lazily whenever the link graph changes (``link_version``);
-retirement drops it with the fragments it inlines.  Exits without
-linked targets keep the driver's stitch path, so mid-run link growth
-and cache eviction behave exactly as before.
+**Linking is by patching the exit**: each fragment is emitted and
+compiled exactly once.  A guard whose exit has a stitched branch returns
+``STITCH`` with its ``SideExit``; the driver reads ``exit.target`` and
+calls that fragment's cached function.  Attaching a branch is therefore
+the monitor's single ``anchor_exit.target = fragment`` store (paper
+§3.1) — no function is ever re-emitted because the link graph grew.
 
 **Cycle-accounting contract**: the generated function charges *exactly*
 the same simulated cycles at *exactly* the same points as the step
@@ -160,9 +156,8 @@ class _Emitter:
         #: the hoisted entry prologue, emitted once outside ``while 1:``.
         self.loop_start = getattr(fragment, "loop_start", 0) or 0
         self._scan_fragment(fragment)
-        #: Pooled name of the fragment currently being emitted (the
-        #: tree emitter swaps it while inlining branch fragments).
-        self.frag_ref = self.pool.add(fragment, "frag")
+        # Every exit hands ``frag`` to ``finish_exit``.
+        self.pool.add(fragment, "frag")
 
     def _executed_offset(self, index: int) -> int:
         """Instructions executed past the last ``executed`` update.
@@ -182,8 +177,7 @@ class _Emitter:
         a looping fragment can fail an *early* guard on iteration N
         after instructions *past* that guard already ran on iteration
         N-1, so a suffix-blind writeback would hand stale registers to
-        a stitched branch.  (The tree emitter scans every inlined
-        fragment, so its writebacks cover the union.)
+        a stitched branch.
         """
         for insn in fragment.native:
             for reg in (insn.dst, insn.a, insn.b, insn.c):
@@ -229,21 +223,13 @@ class _Emitter:
 
     # -- exit sequences ----------------------------------------------------
 
-    def _inline_target(self, exit):
-        """The branch fragment to inline at this exit (tree emitter
-        only); None means surface the exit through the driver."""
-        return None
-
     def exit_body(self, insn, index: int, boxed: Optional[str] = None) -> None:
         """The guard-failure suite: build the event, finish or stitch.
 
         Emitted at the current indent; ``boxed`` optionally assigns
-        ``event.boxed_result``.  When the exit's target is inlined (the
-        tree emitter's direct linking), the stitch is replaced by the
-        driver's exact bookkeeping followed by the branch body itself.
+        ``event.boxed_result``.
         """
         exit = insn.exit
-        branch = self._inline_target(exit)
         ex = self.const(exit)
         self.emit(f"event = ExitEvent({ex}, ar)")
         if boxed is not None:
@@ -252,30 +238,14 @@ class _Emitter:
             self.emit("event.inner = machine.last_inner_event")
             self.emit("if event.inner is not None:")
             self.emit("    event.exception = event.inner.exception")
-        if branch is None:
-            self.emit(self.writeback())
-        self.emit(f"result = finish_exit(event, {self.frag_ref}, cycles, profile)")
+        self.emit(self.writeback())
+        self.emit("result = finish_exit(event, frag, cycles, profile)")
         self.emit("if result is not None:")
         self.emit(f"    return ({RESULT}, result, 0, 0)")
-        if branch is None:
-            self.emit(
-                f"return ({STITCH}, {ex}, 0, "
-                f"executed + {self._executed_offset(index)})"
-            )
-            return
-        # Direct transfer: NativeMachine._stitch's bookkeeping, inlined,
-        # then the branch body itself — registers stay Python locals, so
-        # no writeback/reload round-trip through machine.regs is needed
-        # (every un-inlined exit inside the branch writes back the union
-        # of registers before surfacing).
-        native = self.const(Activity.NATIVE, "NATIVE")
-        self.emit("tracing.transfers_direct += 1")
-        self.emit(f"charge({native}, {costs.STITCH_PENALTY})")
-        self.emit("if profiler is not None:")
-        self.emit(f"    profiler.record_stitch({ex}, direct=True)")
-        self.emit(f"executed += {self._executed_offset(index)}")
-        self.emit("cycles = 0")
-        self._emit_inline(branch)
+        self.emit(
+            f"return ({STITCH}, {ex}, 0, "
+            f"executed + {self._executed_offset(index)})"
+        )
 
     def guard(self, insn, index: int, fail: str, cost: int,
               boxed: Optional[str] = None) -> None:
@@ -697,9 +667,7 @@ class _Emitter:
             self.emit(f"event = ExitEvent({ex}, ar)")
             self.emit("event.exception = _thrown")
             self.emit(self.writeback())
-            self.emit(
-                f"result = finish_exit(event, {self.frag_ref}, cycles, profile)"
-            )
+            self.emit("result = finish_exit(event, frag, cycles, profile)")
             self.emit("if result is not None:")
             self.emit(f"    return ({RESULT}, result, 0, 0)")
             self.emit(
@@ -771,17 +739,14 @@ class _Emitter:
         if terminal not in ("loopjmp", "jtree", "x"):
             self.emit("raise IndexError('list index out of range')")
         body = self.lines
-        header = self.header_lines("_fragment_fn")
+        header = self.header_lines()
         if loops and not self.loop_start:
             header.append("    while 1:")
         return "\n".join(header + body) + "\n"
 
-    def _hoist_extras(self, hoist) -> None:
-        """Extra header hoists (the tree emitter adds its own)."""
-
-    def header_lines(self, fn_name: str) -> List[str]:
+    def header_lines(self) -> List[str]:
         """The function header: consts unpack + machine-state hoists."""
-        header: List[str] = [f"def {fn_name}(machine, executed, cycles):"]
+        header: List[str] = ["def _fragment_fn(machine, executed, cycles):"]
 
         def hoist(text: str) -> None:
             header.append("    " + text)
@@ -805,123 +770,11 @@ class _Emitter:
         hoist("finish_exit = machine._finish_exit")
         hoist("flush_globals = machine._flush_globals")
         hoist("run_inner = machine._run_inner_tree")
-        self._hoist_extras(hoist)
         if self.uses_ovf:
             hoist("ovf = machine.ovf")
         for index in sorted(self.used_regs):
             hoist(f"r{index} = regs[{index}]")
         return header
-
-
-class _TreeEmitter(_Emitter):
-    """Emits one direct-linked "megafunction" for a whole trace tree.
-
-    Layout: an outer ``while 1:`` is the tree entry (and every ``jtree``
-    re-entry), running the trunk's hoisted prologue; an inner ``while
-    1:`` is the trunk loop body.  Every side exit whose target is a
-    LINKED branch fragment gets that branch's body inlined at the guard
-    site (recursively — the link graph is a tree), preceded by the exact
-    bookkeeping ``NativeMachine._stitch`` performs, so hot trunk<->branch
-    transitions never surface an exit tuple to the driver.  Registers
-    stay Python locals across transitions; entry loads and every exit
-    writeback cover the *union* of registers across all inlined
-    fragments, so an un-inlined exit always hands the step machine a
-    complete register file.
-
-    Exits whose targets are not (yet) linked keep the plain STITCH
-    path; the driver handles them and re-enters the megafunction at the
-    next trunk ``jtree``.  Simulated cycles, events, and stats are
-    byte-identical to per-fragment dispatch by construction.
-    """
-
-    def __init__(self, tree):
-        self.tree = tree
-        #: id(SideExit) -> branch Fragment inlined at that guard.
-        self._inline_map = {}
-        self._inline_fragments: List[object] = []
-        self._collect_links(tree.fragment, {id(tree.fragment)})
-        super().__init__(tree.fragment)
-        for fragment in self._inline_fragments:
-            self._scan_fragment(fragment)
-
-    def _collect_links(self, fragment, seen) -> None:
-        """Map every inlinable exit of ``fragment``, transitively."""
-        for insn in fragment.native:
-            exit = insn.exit
-            if exit is None or insn.op == "call":
-                continue  # exception exits never stitch
-            target = exit.target
-            if (
-                target is None
-                or target.state is not FragmentState.LINKED
-                or exit.kind == exitmod.INNER
-                or not target.native
-                or (getattr(target, "loop_start", 0) or 0) != 0
-                or target.native[-1].op not in ("jtree", "x")
-                or id(target) in seen
-            ):
-                continue  # un-inlinable: keep the driver's STITCH path
-            seen.add(id(target))
-            self._inline_map[id(exit)] = target
-            self._inline_fragments.append(target)
-            self._collect_links(target, seen)
-
-    def _inline_target(self, exit):
-        return self._inline_map.get(id(exit))
-
-    def _emit_inline(self, branch) -> None:
-        """The branch body, emitted in place at its guard site."""
-        saved = (self.fragment, self.loop_start, self.frag_ref)
-        self.fragment = branch
-        self.loop_start = 0
-        self.frag_ref = self.const(branch)
-        for index, insn in enumerate(branch.native):
-            self.emit_insn(insn, index)
-        if branch.native[-1].op not in ("jtree", "x"):
-            self.emit("raise IndexError('list index out of range')")
-        self.fragment, self.loop_start, self.frag_ref = saved
-
-    def _op_loopjmp(self, insn, index):
-        if self.fragment is not self.tree.fragment:
-            raise PyEmitError("pycompile: loopjmp inside an inlined branch")
-        self._edge(insn, index, is_loopjmp=True)
-        self.emit("continue")
-
-    def _op_jtree(self, insn, index):
-        # Re-enter the tree: break out of the trunk loop to the outer
-        # ``while 1:``, which re-runs the hoisted prologue — exactly the
-        # driver's TRANSFER re-call, minus the tuple round-trip (cycles
-        # and registers simply stay in their locals).
-        self._edge(insn, index, is_loopjmp=False)
-        self.emit("break")
-
-    def _hoist_extras(self, hoist) -> None:
-        hoist("profiler = vm.profiler")
-
-    def source(self) -> str:
-        trunk = self.fragment
-        insns = trunk.native
-        if not insns:
-            raise PyEmitError("pycompile: empty fragment")
-        loops = insns[-1].op == "loopjmp"
-        loop_start = self.loop_start if loops else 0
-        self.loop_start = loop_start
-        self.indent = 2
-        for index in range(loop_start):
-            self.emit_insn(insns[index], index)
-        if loop_start:
-            self.emit(f"executed += {loop_start}")
-        self.emit("while 1:")
-        self.indent = 3
-        for index in range(loop_start, len(insns)):
-            self.emit_insn(insns[index], index)
-        terminal = insns[-1].op
-        if terminal not in ("loopjmp", "jtree", "x"):
-            self.emit("raise IndexError('list index out of range')")
-        body = self.lines
-        header = self.header_lines("_tree_fn")
-        header.append("    while 1:")
-        return "\n".join(header + body) + "\n"
 
 
 def emit_fragment(fragment) -> Tuple[str, tuple]:
@@ -935,11 +788,16 @@ def emit_fragment(fragment) -> Tuple[str, tuple]:
     return source, emitter.pool.tuple()
 
 
-def emit_tree(tree) -> Tuple[str, tuple]:
-    """Translate a whole tree to its megafunction's source + consts."""
-    emitter = _TreeEmitter(tree)
-    source = emitter.source()
-    return source, emitter.pool.tuple()
+# perfbench/tracer.py wraps ``emit_tree`` and ``compile_tree_py`` by
+# attribute name; these stubs exist only so that benchmark still
+# installs.  Nothing in repro calls them: branch traces link by patching
+# the guard's exit, never by re-emitting the tree.
+def emit_tree(tree):
+    raise NotImplementedError("branch traces link by patching the exit")
+
+
+def compile_tree_py(vm, tree):
+    raise NotImplementedError("branch traces link by patching the exit")
 
 
 def _contain_pycompile_failure(vm, fragment, error: BaseException) -> None:
@@ -982,14 +840,6 @@ def _contain_pycompile_failure(vm, fragment, error: BaseException) -> None:
     finally:
         if faults is not None:
             faults.suspended -= 1
-
-
-def _note_build(vm, unit: str, source: str, elapsed: float) -> None:
-    """Count one successful build (``unit`` = ``fragment`` or ``tree``)."""
-    metrics = vm.metrics
-    metrics.pycompile_fragments.inc(1, unit=unit)
-    metrics.pycompile_source_bytes.inc(len(source), unit=unit)
-    metrics.pycompile_wall.observe(elapsed)
 
 
 def compile_fragment_py(vm, fragment):
@@ -1035,80 +885,11 @@ def compile_fragment_py(vm, fragment):
         tree = getattr(fragment, "tree", None)
         if tree is not None and hasattr(tree, "code"):
             profiler.note_pycompile(tree, elapsed)
-    _note_build(vm, "fragment", source, elapsed)
+    metrics = vm.metrics
+    metrics.pycompile_fragments.inc()
+    metrics.pycompile_source_bytes.inc(len(source))
+    metrics.pycompile_wall.observe(elapsed)
     return fn
-
-
-def compile_tree_py(vm, tree):
-    """Compile ``tree``'s direct-linked megafunction; None on failure.
-
-    Cached on the tree (``direct_fn`` / ``direct_consts``) and keyed on
-    ``link_version`` so a link-graph change (a new branch stitched, a
-    store preload rewiring targets) rebuilds it lazily;
-    :meth:`repro.core.tree.TraceTree.retire` drops it with the
-    fragments it inlines.  Failures are contained through the same
-    ``pycompile`` firewall boundary as per-fragment emission and
-    latched in ``direct_failed`` — losing direct linking only costs
-    performance; per-fragment dispatch still runs the tree.
-    """
-    started = time.perf_counter()
-    profiler = vm.profiler
-    if profiler is not None:
-        profiler.enter(PHASE_COMPILE)
-    try:
-        try:
-            if vm.faults is not None:
-                vm.faults.fire(sites.PYCOMPILE_LINK)
-            source, consts = emit_tree(tree)
-            namespace = {"_consts": consts, "ExitEvent": ExitEvent}
-            code_obj = compile(
-                source, f"<pycompile:tree@{tree.header_pc}>", "exec"
-            )
-            exec(code_obj, namespace)
-            fn = namespace["_tree_fn"]
-        except Exception as error:
-            tree.direct_failed = True
-            _contain_pycompile_failure(vm, tree.fragment, error)
-            return None
-        tree.direct_fn = fn
-        tree.direct_consts = consts
-        tree.direct_link_version = tree.link_version
-    finally:
-        if profiler is not None:
-            profiler.exit()
-    elapsed = time.perf_counter() - started
-    if profiler is not None:
-        profiler.note_pycompile(tree, elapsed)
-    _note_build(vm, "tree", source, elapsed)
-    return fn
-
-
-def _tree_has_links(tree) -> bool:
-    """Whether any branch is stitched (a megafunction would help)."""
-    for branch in tree.branches:
-        if branch.state is FragmentState.LINKED:
-            exit = branch.anchor_exit
-            if exit is not None and exit.target is branch:
-                return True
-    return False
-
-
-def direct_fn_for(vm, tree):
-    """The tree's megafunction, rebuilding lazily on link changes;
-    None = use per-fragment dispatch (unlinked tree, failure latch)."""
-    if tree.direct_failed or tree.fragment.py_failed:
-        # A trunk whose own emission failed would fail inside the
-        # megafunction too; keep the whole tree on the fallback path.
-        return None
-    if tree.direct_link_version == tree.link_version:
-        return tree.direct_fn
-    if tree.fragment.state is FragmentState.RETIRED:
-        return None
-    if not _tree_has_links(tree):
-        # A single-fragment tree gains nothing over its trunk callable;
-        # leave the version stale so the first stitched branch builds.
-        return None
-    return compile_tree_py(vm, tree)
 
 
 def compiled_fn_for(vm, fragment):
@@ -1139,14 +920,8 @@ def run_compiled(machine, fragment):
     executed = 0
     cycles = 0
     vm = machine.vm
-    tree = machine.tree
-    direct = vm.config.enable_direct_link
     while True:
-        fn = None
-        if direct and fragment is tree.fragment:
-            fn = direct_fn_for(vm, tree)
-        if fn is None:
-            fn = compiled_fn_for(vm, fragment)
+        fn = compiled_fn_for(vm, fragment)
         if fn is None:
             machine.backend_used = "step"
             return machine.run_step(fragment, executed=executed, cycles=cycles)

@@ -33,7 +33,7 @@ hottest paths only bump plain ints.
 The registry charges **zero simulated cycles**: benchmark tables and
 ``--stats`` output do not depend on whether a snapshot is exported.
 
-Exports: :meth:`MetricsRegistry.snapshot` (JSON document, schema v2,
+Exports: :meth:`MetricsRegistry.snapshot` (JSON document, schema v3,
 CLI ``--metrics-json``) and :meth:`MetricsRegistry.to_prometheus`
 (text exposition format, CLI ``--metrics-prom``).  See
 docs/INTERNALS.md section 14 for the instrument catalogue and schemas.
@@ -51,8 +51,11 @@ from repro.core import events as eventkind
 #: counter (it always equalled ``repro_side_exits_total``), labels the
 #: pycompile build counter by ``unit``, and adds
 #: ``repro_pycompile_source_bytes_total``, ``repro_unstable_trees_total``
-#: and ``repro_optimizer_rewrites_total``.
-METRICS_SCHEMA_VERSION = 2
+#: and ``repro_optimizer_rewrites_total``; 3 = drops the ``mode`` label
+#: of ``repro_fragment_transfers_total`` and the ``unit`` label of the
+#: two pycompile build counters (every build is one fragment, every
+#: transfer a stitch through a patched exit).
+METRICS_SCHEMA_VERSION = 3
 
 #: Event kinds :meth:`MetricsRegistry.apply_event` deliberately does not
 #: count (``tests/test_telemetry.py`` checks every other kind is folded).
@@ -302,11 +305,9 @@ class MetricsRegistry:
         )
         self.fragment_transfers = self.counter(
             "repro_fragment_transfers_total",
-            "Fragment-to-fragment transfers that stayed native, by mode "
-            "(direct = inside a direct-linked megafunction; stitched = "
-            "mediated by the backend driver's stitch loop; sampled from "
-            "the stats ints at snapshot time).",
-            ("mode",),
+            "Fragment-to-fragment transfers that stayed native: a guard "
+            "whose exit is patched to a branch trace jumped into it "
+            "(sampled from the stats int at snapshot time).",
         )
         self.unstable_links = self.counter(
             "repro_unstable_links_total",
@@ -375,14 +376,11 @@ class MetricsRegistry:
         # -- pycompile ---------------------------------------------------------
         self.pycompile_fragments = self.counter(
             "repro_pycompile_fragments_total",
-            "Python functions built by pycompile, by unit (fragment = one "
-            "fragment; tree = a direct-linked megafunction rebuild).",
-            ("unit",),
+            "Fragments pycompile built into Python functions.",
         )
         self.pycompile_source_bytes = self.counter(
             "repro_pycompile_source_bytes_total",
-            "Bytes of Python source pycompile generated, by unit.",
-            ("unit",),
+            "Bytes of Python source pycompile generated.",
         )
         self.pycompile_failures = self.counter(
             "repro_pycompile_failures_total",
@@ -390,7 +388,7 @@ class MetricsRegistry:
         )
         self.pycompile_wall = self.histogram(
             "repro_pycompile_wall_seconds",
-            "Wall seconds per pycompile build (both units).",
+            "Wall seconds per pycompile fragment build.",
             COMPILE_WALL_BUCKETS,
         )
 
@@ -637,7 +635,7 @@ class MetricsRegistry:
     # -- export ------------------------------------------------------------------
 
     def snapshot(self, program: Optional[str] = None) -> dict:
-        """Point-in-time JSON document (schema v2; CLI ``--metrics-json``)."""
+        """Point-in-time JSON document (schema v3; CLI ``--metrics-json``)."""
         self.collect()
         counters, gauges, histograms = [], [], []
         for instrument in self._instruments.values():
@@ -704,12 +702,11 @@ def attach_vm_collector(registry: MetricsRegistry, vm) -> None:
         stats = vm.stats
         for activity, cycles in stats.ledger.by_activity.items():
             reg.simulated_cycles.set(cycles, activity=activity.value)
-        # Native transfers are too hot for a labelled ``inc`` per
-        # transfer; the stats keep plain ints and the counter mirrors them.
-        for mode, count in (("direct", stats.tracing.transfers_direct),
-                            ("stitched", stats.tracing.transfers_stitched)):
-            if count:
-                reg.fragment_transfers.values[(mode,)] = count
+        # Native transfers are too hot for an ``inc`` per transfer; the
+        # stats keep a plain int and the counter mirrors it.
+        transfers = stats.tracing.transfers_stitched
+        if transfers:
+            reg.fragment_transfers.values[()] = transfers
         monitor = getattr(vm, "monitor", None)
         if monitor is not None:
             cache = monitor.cache

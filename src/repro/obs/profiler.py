@@ -79,8 +79,10 @@ ACTIVITY_OF_PHASE = {
 #: per-loop backend / wall-clock fields and the "pycompile" section;
 #: 4 = adds the "optimizer" section (whole-trace pass counters);
 #: 5 = adds the "transitions" section (direct vs monitor-mediated
-#: fragment transfers, exit-tuple surfacings).
-PROFILE_SCHEMA_VERSION = 5
+#: fragment transfers, exit-tuple surfacings); 6 = drops
+#: ``transitions.direct_transfers`` (branch traces link only by
+#: patching the exit, so every transfer is stitched).
+PROFILE_SCHEMA_VERSION = 6
 
 
 class GuardProfile:
@@ -235,11 +237,6 @@ class PhaseProfiler:
         #: Python-backend fragment compilations (count / wall seconds).
         self.pycompile_count = 0
         self.pycompile_wall = 0.0
-        #: Fragment-to-fragment transfers that stayed native, split by
-        #: how: inside a direct-linked megafunction vs mediated by the
-        #: backend driver's stitch loop.
-        self.transfers_direct = 0
-        self.transfers_stitched = 0
         #: Cycle count at the safe-mode transition (None = never tripped).
         #: Everything after it accrues to interpret/monitor phases, so
         #: the Figure 12 fractions stay partition-exact across the flip.
@@ -397,17 +394,18 @@ class PhaseProfiler:
             return
         self.guard_profile(exit).exits += 1
 
-    def record_stitch(self, exit, direct: bool = False) -> None:
-        """One guard failure that transferred into a branch trace.
+    @property
+    def transfers_stitched(self) -> int:
+        """Fragment-to-fragment transfers (a view of the VM's count)."""
+        return self.vm.stats.tracing.transfers_stitched
 
-        ``direct`` distinguishes transfers taken inside a direct-linked
-        megafunction from ones mediated by the driver's stitch loop;
-        the per-guard ``stitched`` total counts both.
-        """
-        if direct:
-            self.transfers_direct += 1
-        else:
-            self.transfers_stitched += 1
+    @property
+    def transfers_direct(self) -> int:
+        # Always 0: kept only because perfbench/run.py still reads it.
+        return 0
+
+    def record_stitch(self, exit) -> None:
+        """One guard failure that transferred into a branch trace."""
         if exit.tree is None:
             return
         self.guard_profile(exit).stitched += 1
@@ -531,7 +529,6 @@ class PhaseProfiler:
                 "wall_seconds": self.pycompile_wall,
             },
             "transitions": {
-                "direct_transfers": self.transfers_direct,
                 "monitor_stitched": self.transfers_stitched,
                 "exit_surfacings": self.total_side_exits,
             },

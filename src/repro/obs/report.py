@@ -115,13 +115,11 @@ def profile_report(vm, limit_loops: int = 20, limit_deopts: int = 10) -> str:
         "\n".join(hot_loops_lines(profiler, limit_loops)),
         "\n".join(deopt_sites_lines(profiler, limit_deopts)),
     ]
-    transfers = profiler.transfers_direct + profiler.transfers_stitched
-    if transfers or profiler.total_side_exits:
+    if profiler.transfers_stitched or profiler.total_side_exits:
         sections.append(
-            f"trace transitions: {profiler.transfers_direct:,} direct "
-            f"(linked in the megafunction), {profiler.transfers_stitched:,} "
-            f"monitor-stitched, {profiler.total_side_exits:,} exits "
-            f"surfaced to the interpreter"
+            f"trace transitions: {profiler.transfers_stitched:,} stitched "
+            f"into patched branch traces, {profiler.total_side_exits:,} "
+            f"exits surfaced to the interpreter"
         )
     if profiler.lir_emitted:
         kept = profiler.lir_retained / profiler.lir_emitted

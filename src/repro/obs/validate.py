@@ -16,8 +16,8 @@ and span/track references) — not a full JSON-Schema engine, which the
 container deliberately does not ship.
 
 Current versions: events v7 (:data:`repro.core.events
-.EVENT_SCHEMA_VERSION`), profile v5 (:data:`repro.obs.profiler
-.PROFILE_SCHEMA_VERSION`), metrics v2, spans v1, BENCH_wallclock v3,
+.EVENT_SCHEMA_VERSION`), profile v6 (:data:`repro.obs.profiler
+.PROFILE_SCHEMA_VERSION`), metrics v3, spans v1, BENCH_wallclock v4,
 BENCH_throughput v1, BENCH_warmstart v1, trace-store manifest v1
 (:data:`repro.core.store.STORE_SCHEMA`).
 """
@@ -34,7 +34,10 @@ from repro.obs.metrics import METRICS_SCHEMA_VERSION
 from repro.obs.profiler import PROFILE_SCHEMA_VERSION
 from repro.obs.spans import SPANS_SCHEMA_VERSION
 
-BENCH_SCHEMA_VERSION = 3
+BENCH_SCHEMA_VERSION = 4
+
+#: Per-program trace-transition counts in profiles and BENCH_wallclock.
+TRANSITION_KEYS = ("monitor_stitched", "exit_surfacings")
 THROUGHPUT_SCHEMA_VERSION = 1
 WARMSTART_SCHEMA_VERSION = 1
 
@@ -95,7 +98,10 @@ def validate_profile(doc: dict) -> int:
     )
     transitions = doc.get("transitions")
     _require(isinstance(transitions, dict), "profile missing transitions")
-    for key in ("direct_transfers", "monitor_stitched", "exit_surfacings"):
+    _require(sorted(transitions) == sorted(TRANSITION_KEYS),
+             f"transitions: keys {sorted(transitions)} != "
+             f"{sorted(TRANSITION_KEYS)}")
+    for key in TRANSITION_KEYS:
         value = transitions.get(key)
         _require(isinstance(value, int) and value >= 0,
                  f"transitions: bad {key}")
@@ -191,14 +197,13 @@ def validate_bench_wallclock(doc: dict) -> int:
     )
     programs = doc.get("programs")
     _require(isinstance(programs, list) and len(programs) == 26,
-             "BENCH v3 must carry 26 per-program entries")
+             "BENCH v4 must carry 26 per-program entries")
     per_program_floor = doc.get("per_program_floor")
     _require(
         isinstance(per_program_floor, (int, float)) and per_program_floor > 0,
-        "BENCH v3 missing per_program_floor",
+        "BENCH v4 missing per_program_floor",
     )
-    totals = {"direct_transfers": 0, "monitor_stitched": 0,
-              "exit_surfacings": 0}
+    totals = dict.fromkeys(TRANSITION_KEYS, 0)
     for entry in programs:
         _require(isinstance(entry.get("name"), str), "program without name")
         _require(
@@ -217,6 +222,14 @@ def validate_bench_wallclock(doc: dict) -> int:
         _require(
             entry["step"]["simulated_cycles"] == entry["py"]["simulated_cycles"],
             f"{entry.get('name')}: backend cycle bills differ",
+        )
+        # The end-to-end ratio is a diagnostic column, not a gate.
+        e2e = entry.get("e2e_ratio")
+        _require(
+            isinstance(e2e, (int, float))
+            and abs(e2e - entry["step"]["total_wall_seconds"]
+                    / entry["py"]["total_wall_seconds"]) <= 1e-9 * e2e,
+            f"{entry.get('name')}: e2e_ratio is not the step/py total wall",
         )
         transitions = entry.get("transitions")
         _require(isinstance(transitions, dict),

@@ -81,9 +81,8 @@ class TraceStats:
     tree_calls_recorded: int = 0
     tree_calls_executed: int = 0
     trace_entries: int = 0
-    #: Fragment-to-fragment transfers that stayed native: inside a
-    #: direct-linked megafunction, or through the backend's stitch loop.
-    transfers_direct: int = 0
+    #: Fragment-to-fragment transfers that stayed native: a guard whose
+    #: exit is patched to a branch trace jumped straight into it.
     transfers_stitched: int = 0
     loop_iterations_native: int = 0
     oracle_marks: int = 0
@@ -119,11 +118,6 @@ class TraceStats:
     @property
     def branch_traces(self) -> int:
         return self.traces_completed - self.trees_formed
-
-    @property
-    def stitched_transfers(self) -> int:
-        """Every native fragment-to-fragment transfer, both paths."""
-        return self.transfers_direct + self.transfers_stitched
 
     @property
     def fragments_retired(self) -> int:
@@ -211,7 +205,7 @@ class VMStats:
             f"{self.tracing.traces_completed} completed, "
             f"{self.tracing.traces_aborted} aborted",
             f"side exits taken       : {self.tracing.side_exits_taken} "
-            f"({self.tracing.stitched_transfers} stitched)",
+            f"({self.tracing.transfers_stitched} stitched)",
             f"blacklisted fragments  : {self.tracing.blacklisted}",
         ]
         if (

@@ -49,6 +49,10 @@ class VMConfig:
     * ``native_insn_budget`` — simulated native instructions one trace
       invocation may execute; checked at loop back-edges so overrunning
       it is a graceful deopt, not a crash;
+    * ``native_backend`` — ``"py"`` compiles each fragment once to a
+      Python function, ``"step"`` interprets its native instructions;
+      either way a branch trace links by patching its guard's exit
+      (:mod:`repro.jit.pycompile`), so linking has no knob of its own;
     * ``fault_plan`` / ``chaos_seed`` — deterministic fault injection
       (a :class:`repro.hardening.FaultPlan`, or a seed from which one
       is derived) for the chaos harness;
@@ -92,13 +96,6 @@ class VMConfig:
     #: ``"step"`` interprets the sequence.  Simulated cycles, events,
     #: and stats are byte-identical either way.
     native_backend: str = "py"
-    #: Direct fragment linking (py backend only): compile each trace
-    #: tree to one Python "megafunction" with every LINKED branch
-    #: fragment inlined at its guard site, so hot trunk<->branch
-    #: transitions never surface an exit tuple to the native machine
-    #: or the monitor.  Simulated cycles, stats, and events are
-    #: byte-identical either way (``--no-direct-link`` disables).
-    enable_direct_link: bool = True
     #: Directory of the persistent trace store (``--trace-store DIR``);
     #: None disables warm start.  See :mod:`repro.core.store`.
     trace_store: Optional[str] = None

@@ -27,11 +27,9 @@ from repro.vm import TracingVM, VMConfig
 SIEVE_PATH = pathlib.Path(__file__).parent.parent / "examples" / "sieve.js"
 
 
-def _run(source: str, backend: str, **overrides):
+def _run(source: str, backend: str):
     config = VMConfig()
     config.native_backend = backend
-    for name, value in overrides.items():
-        setattr(config, name, value)
     vm = TracingVM(config)
     vm.events.capture = True
     result = vm.run(source)
@@ -87,50 +85,9 @@ def test_sieve_identical_across_backends():
     _assert_runs_identical(SIEVE_PATH.read_text(), "sieve.js")
 
 
-#: The execution-strategy knob matrix: direct fragment linking (py
-#: backend megafunctions) off.  The default is covered by the tests
-#: above.
-_KNOB_MATRIX = [
-    {"enable_direct_link": False},
-]
-
-
-def _observables(result, vm):
-    return (
-        repr(result),
-        vm.stats.total_cycles,
-        tuple(vm.stats.summary_lines()),
-        tuple(vm.output),
-        _normalized_events(vm),
-    )
-
-
-@pytest.mark.parametrize("program", PROGRAMS, ids=lambda p: p.name)
-def test_suite_program_identical_across_knob_matrix(program):
-    """Every knob combination, on both backends, is observationally
-    identical to the default py-backend run: same result, cycles,
-    summaries, output, and (renumbered) event stream."""
-    baseline = _observables(*_run(program.source, "py"))
-    for overrides in _KNOB_MATRIX:
-        for backend in ("py", "step"):
-            got = _observables(*_run(program.source, backend, **overrides))
-            assert got == baseline, f"{program.name}: {backend} {overrides}"
-
-
-def test_sieve_identical_across_knob_matrix():
-    source = SIEVE_PATH.read_text()
-    baseline = _observables(*_run(source, "py"))
-    for overrides in _KNOB_MATRIX:
-        for backend in ("py", "step"):
-            got = _observables(*_run(source, backend, **overrides))
-            assert got == baseline, f"sieve.js: {backend} {overrides}"
-
-
-def _profiled_run(source: str, backend: str, **overrides):
+def _profiled_run(source: str, backend: str):
     config = VMConfig()
     config.native_backend = backend
-    for name, value in overrides.items():
-        setattr(config, name, value)
     vm = TracingVM(config)
     vm.events.capture = True
     vm.enable_profiling()
@@ -177,44 +134,6 @@ def test_chaos_pycompile_fault_falls_back_to_step():
     assert all(e.payload["injected"] for e in failures)
     # The fallback is a recovery, not a breaker strike: the firewall logs
     # the trip but does not advance toward safe mode.
-    firewall = vm.firewall
-    assert firewall is not None
-    assert any(trip[0] == "pycompile" for trip in firewall.trips)
-    assert firewall.failures == 0
-    assert not vm.in_safe_mode
-
-
-def test_chaos_pycompile_link_fault_falls_back_to_stitching():
-    """An injected megafunction-emission fault (``pycompile.link``) must
-    be contained: trees keep running on per-fragment py dispatch with
-    monitor-mediated stitching, and the result is unchanged."""
-    from repro.hardening import FaultPlan
-
-    source = SIEVE_PATH.read_text()
-    clean_result, clean_vm = _profiled_run(source, "py")
-    assert clean_vm.profiler.transfers_direct > 0, "expected direct transfers"
-
-    config = VMConfig()
-    config.native_backend = "py"
-    config.fault_plan = FaultPlan.parse(["pycompile.link:*"])
-    vm = TracingVM(config)
-    vm.events.capture = True
-    vm.enable_profiling()
-    result = vm.run(source)
-
-    assert repr(result) == repr(clean_result)
-    assert vm.output == clean_vm.output
-    assert vm.stats.total_cycles == clean_vm.stats.total_cycles
-    # Fragments still compile; only the direct-link megafunction failed,
-    # so the loops stay on the py backend with monitor stitching.
-    assert vm.profiler.loops
-    assert all(loop.backend == "py" for loop in vm.profiler.loops)
-    assert vm.profiler.transfers_direct == 0
-    assert vm.profiler.transfers_stitched > 0
-    failures = vm.events.of_kind(eventkind.JIT_INTERNAL_FAILURE)
-    assert failures, "injected pycompile.link faults must be reported"
-    assert all(e.payload["boundary"] == "pycompile" for e in failures)
-    assert all(e.payload["injected"] for e in failures)
     firewall = vm.firewall
     assert firewall is not None
     assert any(trip[0] == "pycompile" for trip in firewall.trips)

@@ -138,7 +138,7 @@ class TestExitAgreement:
         stitched = sum(
             guard.stitched for _loop, guard in vm.profiler.guards_ranked()
         )
-        assert stitched == vm.stats.tracing.stitched_transfers
+        assert stitched == vm.stats.tracing.transfers_stitched
 
     def test_entries_match_trace_entry_counter(self):
         _r, vm = run_profiled(SIEVE)

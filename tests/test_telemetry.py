@@ -101,7 +101,7 @@ class TestDisabledContract:
             "traces_aborted": ("repro_record_aborts_total", {}),
             "fragments_linked": ("repro_fragments_linked_total", {}),
             "loops_seen": ("repro_trace_lookups_total", {"result": "miss"}),
-            "stitched_transfers": ("repro_fragment_transfers_total", {}),
+            "transfers_stitched": ("repro_fragment_transfers_total", {}),
             "unstable_traces": ("repro_unstable_trees_total", {}),
             "opt_cse_removed": ("repro_optimizer_rewrites_total",
                                 {"kind": "cse"}),
@@ -112,7 +112,7 @@ class TestDisabledContract:
             ), view
         assert tracing.trees_formed >= 1
         assert tracing.side_exits_taken >= 1
-        assert tracing.stitched_transfers >= 1
+        assert tracing.transfers_stitched >= 1
 
     def test_telemetry_charges_no_simulated_cycles(self):
         plain = TracingVM()
@@ -198,17 +198,27 @@ class TestConservation:
         assert vm.metrics.cache_trees.value() == cache.tree_count
         assert vm.metrics.cache_fragments.value() == cache.fragment_count
 
-    def test_pycompile_builds_by_unit(self):
-        """Megafunction rebuilds are told apart from fragment compiles."""
+    @pytest.mark.parametrize("name", ["regexp-dna-lite", "crypto-sha1"])
+    def test_pycompile_work_is_bounded_by_fragments(self, name):
+        """Each fragment is emitted once, in source proportional to its
+        native code: growing a tree never re-emits what is linked."""
+        from repro.suite.programs import PROGRAMS
+
+        program = next(p for p in PROGRAMS if p.name == name)
         vm = TracingVM()
-        vm.run(BRANCHY)
-        builds = vm.metrics.pycompile_fragments
-        source = vm.metrics.pycompile_source_bytes
-        assert builds.value(unit="fragment") >= 1
-        assert builds.value(unit="tree") >= 1
-        assert source.value(unit="fragment") > 0
-        assert source.value(unit="tree") > 0
-        assert vm.metrics.pycompile_wall.series()[0]["count"] == builds.total
+        vm.run(program.source, name=name)
+        fragments = [
+            fragment
+            for tree in vm.monitor.cache.all_trees()
+            for fragment in [tree.fragment] + tree.branches
+        ]
+        builds = vm.metrics.pycompile_fragments.value()
+        source_bytes = vm.metrics.pycompile_source_bytes.value()
+        insns = sum(len(fragment.native) for fragment in fragments)
+        assert 1 <= builds <= len(fragments)
+        assert source_bytes <= 500 * insns, (
+            f"{name}: {source_bytes} source bytes for {insns} native insns"
+        )
 
     def test_pycompile_histogram_counts_fragments(self):
         _r, vm = run_with_telemetry(SIEVE)

@@ -20,7 +20,7 @@ class TestTraceTrees:
             "a * 1000 + b;"
         )
         assert vm.stats.tracing.branch_traces >= 1
-        assert vm.stats.tracing.stitched_transfers > 0
+        assert vm.stats.tracing.transfers_stitched > 0
 
     def test_stitched_branch_avoids_monitor(self):
         _r, vm = run_tracing(
@@ -31,7 +31,7 @@ class TestTraceTrees:
         tracing = vm.stats.tracing
         # Once both paths are compiled, iterations alternate via
         # stitching without taking monitor-visible side exits.
-        assert tracing.stitched_transfers > tracing.side_exits_taken
+        assert tracing.transfers_stitched > tracing.side_exits_taken
 
     def test_hotness_threshold_respected(self):
         config = VMConfig(hotness_threshold=50)
